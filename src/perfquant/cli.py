@@ -8,16 +8,18 @@ import os
 import sys
 import tempfile
 
-from .errors import EmptyInput, NoExtractableSpan, NoMatch, PerfQuantError
+from .errors import PerfQuantError
 from .evaluation import (
+    BootstrapResult,
     bootstrap_eval,
     cross_eval,
+    extract_patterns,
     load_dataset,
     report_json,
     report_lines,
 )
 from .matching import MatcherConfig, select
-from .patterns import PatternKB, extract_pattern, load_patterns
+from .patterns import PatternKB, format_patterns, load_patterns
 from .pipeline import QuantificationRequest, quantify
 from .satisfaction import MetricDirection
 from .embeddings import load_vectors
@@ -48,18 +50,9 @@ def _format_beta(v_beta: float | None) -> str:
 
 def run_extract(args: argparse.Namespace) -> int:
     rows = load_dataset(args.labeled)
-    extracted = []
-    failed = 0
-    for row in rows:
-        try:
-            extracted.append(
-                extract_pattern(tokenize(row.text), row.gold, source_id=row.id)
-            )
-        except (NoExtractableSpan, EmptyInput):
-            failed += 1
-    kb = PatternKB.build(extracted)
-    lines = [f"{p.text}\t{p.label.codes[0]}\t{p.label.codes[1]}" for p in kb.patterns]
-    _write_atomic(args.out, "".join(line + "\n" for line in lines))
+    extracted = extract_patterns(rows)
+    _write_atomic(args.out, format_patterns(PatternKB.build(extracted)))
+    failed = len(rows) - len(extracted)
     print(f"extracted {len(extracted)} patterns ({failed} failed) from {len(rows)} rows")
     return 0
 
@@ -104,9 +97,10 @@ def run_quantify(args: argparse.Namespace) -> int:
         request = QuantificationRequest(text=line, bounds=bounds, direction=direction)
         try:
             result = quantify(request, kb, store, cfg)
-        except NoMatch:
+        except PerfQuantError as exc:
+            # one bad line does not abort the batch: a null record in its place
             print("null")
-            print(f"line {line_no}: no pattern matched", file=sys.stderr)
+            print(f"line {line_no}: {exc}", file=sys.stderr)
             continue
         for warning in result.warnings:
             print(f"line {line_no}: {warning}", file=sys.stderr)
@@ -129,22 +123,10 @@ def run_eval(args: argparse.Namespace) -> int:
 
     if args.test_dataset:
         test = load_dataset(args.test_dataset)
-        report = cross_eval(dataset, test, store, base, cfg)
-        lines = [
-            "run\twP\twR\twF1\tn_nomatch",
-            f"1\t{report.wp:.4f}\t{report.wr:.4f}\t{report.wf1:.4f}\t{report.n_nomatch}",
-        ]
-        payload = {
-            "runs": [
-                {
-                    "run": 1,
-                    "wP": report.wp,
-                    "wR": report.wr,
-                    "wF1": report.wf1,
-                    "n_nomatch": report.n_nomatch,
-                }
-            ]
-        }
+        result = BootstrapResult([cross_eval(dataset, test, store, base, cfg)])
+        # a single cross-dataset run reports its row without a mean±sd summary
+        lines = report_lines(result)[:-1]
+        payload = {"runs": report_json(result)["runs"]}
     else:
         result = bootstrap_eval(
             dataset,

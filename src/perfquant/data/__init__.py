@@ -7,9 +7,6 @@ from pathlib import Path
 
 PATTERNS_FILE = "patterns.tsv"
 NEGATIONS_FILE = "negation_words.txt"
-COMPLEMENTS_FILE = "complement_words.txt"
-CONNECTIVES_FILE = "connective_words.txt"
-PREFIX_VERBS_FILE = "verb_words.txt"
 DIRECTIONS_FILE = "direction_words.tsv"
 VECTORS_FILE = "mini_vectors.txt"
 MINI_CORPUS_FILE = "mini_corpus.csv"
@@ -30,28 +27,10 @@ def default_negations() -> list[str]:
     return load_wordlist(path(NEGATIONS_FILE))
 
 
-def default_complements() -> tuple[str, ...]:
-    from ..patterns import load_wordlist
-
-    return tuple(load_wordlist(path(COMPLEMENTS_FILE)))
-
-
-def default_connectives() -> tuple[str, ...]:
-    from ..patterns import load_wordlist
-
-    return tuple(load_wordlist(path(CONNECTIVES_FILE)))
-
-
-def default_prefix_verbs() -> tuple[str, ...]:
-    from ..patterns import load_wordlist
-
-    return tuple(load_wordlist(path(PREFIX_VERBS_FILE)))
-
-
 def default_kb():
     from ..patterns import load_patterns
 
-    return load_patterns(path(PATTERNS_FILE), negations=default_negations())
+    return load_patterns(path(PATTERNS_FILE))
 
 
 def default_store():

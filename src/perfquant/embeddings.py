@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, VectorFormatError
+from .patterns import PLACEHOLDER
 from .text import NUMBER_RE
 
 # expectation placeholders and numeric literals share one embedding
@@ -60,9 +61,12 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
             if word in entries:
                 raise VectorFormatError(f"{path}: line {lineno}: duplicate word {word!r}")
             try:
-                entries[word] = np.array([float(x) for x in values], dtype=np.float64)
+                vec = np.array([float(x) for x in values], dtype=np.float64)
             except ValueError as exc:
                 raise VectorFormatError(f"{path}: line {lineno}: non-numeric component") from exc
+            if not np.isfinite(vec).all():
+                raise VectorFormatError(f"{path}: line {lineno}: non-finite component")
+            entries[word] = vec
 
     if len(entries) != vocab_size:
         raise VectorFormatError(
@@ -82,7 +86,7 @@ def sentence_vector(store: VectorStore, tokens: list[str]) -> np.ndarray:
         raise ValueError("sentence_vector needs at least one token")
     vectors = []
     for token in tokens:
-        key = NUMBER_WORD if token == "<N>" or NUMBER_RE.match(token) else token
+        key = NUMBER_WORD if token == PLACEHOLDER or NUMBER_RE.match(token) else token
         vec = store.entries.get(key)
         if vec is not None:
             vectors.append(vec)

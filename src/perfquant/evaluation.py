@@ -9,6 +9,7 @@ import random
 import statistics
 from dataclasses import dataclass
 
+from .data import default_negations
 from .embeddings import VectorStore
 from .errors import (
     DatasetParseError,
@@ -148,31 +149,24 @@ def weighted_metrics(
     return MetricsReport(wp, wr, wf1, per_class, n, n_nomatch)
 
 
-def build_kb(
-    rows: list[LabeledRequirement],
-    base_patterns: tuple[Pattern, ...] = (),
-    negations: list[str] | None = None,
-    complements: tuple[str, ...] | None = None,
-) -> PatternKB:
-    """Extract one pattern per labeled row; rows the heuristic cannot
+def extract_patterns(rows: list[LabeledRequirement]) -> list[Pattern]:
+    """One pattern per labeled row, in row order; rows the heuristic cannot
     handle are skipped."""
-    if negations is None:
-        from .data import default_negations
-
-        negations = default_negations()
-    if complements is None:
-        from .data import default_complements
-
-        complements = default_complements()
-    extracted: list[Pattern] = list(base_patterns)
+    extracted = []
     for row in rows:
         try:
-            extracted.append(
-                extract_pattern(tokenize(row.text), row.gold, complements, row.id)
-            )
+            extracted.append(extract_pattern(tokenize(row.text), row.gold, source_id=row.id))
         except (NoExtractableSpan, EmptyInput):
             continue
-    return PatternKB.build(extracted, negations)
+    return extracted
+
+
+def build_kb(
+    rows: list[LabeledRequirement], base_patterns: tuple[Pattern, ...] = ()
+) -> PatternKB:
+    """The base patterns plus those extracted from the rows, with the
+    bundled negation lexicon."""
+    return PatternKB.build([*base_patterns, *extract_patterns(rows)], default_negations())
 
 
 def predict_label(

@@ -6,13 +6,13 @@ from dataclasses import dataclass
 
 from .embeddings import VectorStore, cosine, sentence_vector
 from .errors import EmptyKB
-from .patterns import PLACEHOLDER, _STOPWORDS, Pattern, PatternKB
+from .patterns import PLACEHOLDER, STOPWORDS, Pattern, PatternKB
 from .satisfaction import ClassLabel
-from .text import TokenizedRequirement
+from .text import DEFAULT_PREFIX_VERBS, TokenizedRequirement
 
 # tokens that never carry preference content on their own; a match made
 # only of these (and no bound number) is noise
-_FUNCTION_WORDS = frozenset(_STOPWORDS | {"shall", "should", "must", "will", "can", "may", "be"})
+_FUNCTION_WORDS = frozenset(STOPWORDS | {*DEFAULT_PREFIX_VERBS, "may"})
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,10 @@ class MatchResult:
     sem: float
     fused: float
     label: ClassLabel
-    v_beta: float | None
+
+    @property
+    def v_beta(self) -> float | None:
+        return self.lcs.v_beta
 
 
 def _match_matrix(pattern: Pattern, req: TokenizedRequirement) -> list[list[bool]]:
@@ -275,5 +278,4 @@ def select(
         sem=sem,
         fused=fused,
         label=label,
-        v_beta=result.v_beta,
     )

@@ -27,7 +27,7 @@ DEFAULT_COMPLEMENTS = (
 # modal/verb anchors for requirements without a numeric expectation
 EXTRACT_VERBS = frozenset({"shall", "should", "must", "be"})
 
-_STOPWORDS = frozenset(
+STOPWORDS = frozenset(
     """a an the of to in on at for by with and or is are was were it its this
     that these those as from per any each via be been being will would there
     their his her they them he she we you i do does did done has have had
@@ -138,11 +138,14 @@ def load_patterns(
     return PatternKB.build(patterns, negations)
 
 
+def format_patterns(kb: PatternKB) -> str:
+    """The pattern TSV that `load_patterns` reads, one line per pattern."""
+    return "".join("\t".join((p.text, *p.label.codes)) + "\n" for p in kb.patterns)
+
+
 def save_patterns(kb: PatternKB, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in kb.patterns:
-            left, right = p.label.codes
-            fh.write(f"{p.text}\t{left}\t{right}\n")
+        fh.write(format_patterns(kb))
 
 
 def extract_pattern(
@@ -178,7 +181,7 @@ def extract_pattern(
     content = [
         t.position
         for t in tokens
-        if t.normalized not in _STOPWORDS and not t.is_number and t.normalized
+        if t.normalized not in STOPWORDS and not t.is_number and t.normalized
     ]
     end = content[-1] if content else -1
     if end <= start:

@@ -13,6 +13,7 @@ from .satisfaction import (
     ClassLabel,
     MetricDirection,
     SatisfactionFunction,
+    check_bounds,
     combine,
     compile_single,
 )
@@ -26,19 +27,28 @@ class QuantificationRequest:
     direction: MetricDirection | None = None
 
     def __post_init__(self) -> None:
-        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
-            raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")
+        if self.bounds is not None:
+            check_bounds(self.bounds)
 
 
 @dataclass(frozen=True)
 class PartClassification:
     """Classification outcome for one (possibly split) part of a requirement."""
 
-    text: str
     tokens: TokenizedRequirement
-    label: ClassLabel | None
-    v_beta: float | None
     match: MatchResult | None
+
+    @property
+    def text(self) -> str:
+        return self.tokens.raw
+
+    @property
+    def label(self) -> ClassLabel | None:
+        return self.match.label if self.match else None
+
+    @property
+    def v_beta(self) -> float | None:
+        return self.match.v_beta if self.match else None
 
 
 @dataclass
@@ -73,19 +83,10 @@ def classify(
 ) -> list[PartClassification]:
     """Tokenize, split multi-expectation requirements, and match each part."""
     req = tokenize(req_text)
-    results = []
-    for part in split_expectations(req):
-        match = select(kb, store, part, cfg)
-        results.append(
-            PartClassification(
-                text=part.raw,
-                tokens=part,
-                label=match.label if match else None,
-                v_beta=match.v_beta if match else None,
-                match=match,
-            )
-        )
-    return results
+    return [
+        PartClassification(part, select(kb, store, part, cfg))
+        for part in split_expectations(req)
+    ]
 
 
 def infer_direction(

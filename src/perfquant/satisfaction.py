@@ -11,6 +11,7 @@ affine within each segment.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -104,14 +105,6 @@ class Fragment:
     def same_interval(self, other: "Fragment") -> bool:
         return self.v_lo == other.v_lo and self.v_hi == other.v_hi
 
-
-@dataclass(frozen=True)
-class Segment:
-    v_lo: float
-    v_hi: float
-    s_lo: float
-    s_hi: float
-
     def value_at(self, v: float) -> float:
         if self.v_hi == self.v_lo:
             return self.s_lo
@@ -128,7 +121,7 @@ class SatisfactionFunction:
     endpoint score.
     """
 
-    segments: tuple[Segment, ...]
+    segments: tuple[Fragment, ...]
     direction: MetricDirection
 
     def __post_init__(self) -> None:
@@ -262,6 +255,16 @@ def resolve_intervals(a: Fragment, b: Fragment) -> tuple[Fragment, Fragment]:
     return left, right
 
 
+def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
+    """The metric bounds (lo, hi), checked to be finite with lo < hi."""
+    lo, hi = bounds
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
+    if not lo < hi:
+        raise ValueError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _compile(fragments: list[Fragment], direction: MetricDirection) -> SatisfactionFunction:
     frags = list(fragments)
     for i in range(len(frags) - 1):
@@ -272,8 +275,7 @@ def _compile(fragments: list[Fragment], direction: MetricDirection) -> Satisfact
         if deduped and f == deduped[-1]:
             continue
         deduped.append(f)
-    segments = tuple(Segment(f.v_lo, f.v_hi, f.s_lo, f.s_hi) for f in deduped)
-    return SatisfactionFunction(segments, direction)
+    return SatisfactionFunction(tuple(deduped), direction)
 
 
 def compile_single(
@@ -283,9 +285,7 @@ def compile_single(
     direction: MetricDirection,
 ) -> SatisfactionFunction:
     """Compile a single classified requirement into its satisfaction function."""
-    lo, hi = bounds
-    if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
+    lo, hi = check_bounds(bounds)
     if v_beta is None:
         if not label.symmetric:
             raise MissingExpectation(
@@ -321,9 +321,7 @@ def combine(
     """
     if not 1 <= len(parts) <= 2:
         raise ValueError(f"combine takes 1 or 2 parts, got {len(parts)}")
-    lo, hi = bounds
-    if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
+    lo, hi = check_bounds(bounds)
     for _, v in parts:
         if v is None:
             raise ValueError("combine requires an expectation point per part")

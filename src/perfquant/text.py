@@ -11,8 +11,7 @@ from .errors import EmptyInput
 NUMBER_RE = re.compile(r"^\d{1,3}(?:,\d{3})+(?:\.\d+)?$|^\d+(?:\.\d+)?$")
 
 # connectives that may join two expectation clauses, and the modal verbs
-# that delimit the shared subject prefix; both lists can be overridden from
-# plain-text lexicon files (one entry per line, '#' comments)
+# that delimit the shared subject prefix
 DEFAULT_CONNECTIVES = ("and", "or", "while", ";", ",")
 DEFAULT_PREFIX_VERBS = ("shall", "should", "must", "will", "can")
 
@@ -79,9 +78,7 @@ def detokenize(req: TokenizedRequirement) -> str:
     return " ".join(req.normalized)
 
 
-def _subject_prefix(
-    tokens: tuple[Token, ...], limit: int, verbs: tuple[str, ...]
-) -> list[Token]:
+def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
     """Shared subject prefix copied onto the second split part.
 
     Extends through the first modal verb plus the token after it (the
@@ -90,7 +87,7 @@ def _subject_prefix(
     """
     end = None
     for tok in tokens[:limit]:
-        if tok.normalized in verbs:
+        if tok.normalized in DEFAULT_PREFIX_VERBS:
             end = tok.position + 2
             break
     if end is None:
@@ -104,11 +101,7 @@ def _subject_prefix(
     return prefix
 
 
-def split_expectations(
-    req: TokenizedRequirement,
-    connectives: tuple[str, ...] = DEFAULT_CONNECTIVES,
-    prefix_verbs: tuple[str, ...] = DEFAULT_PREFIX_VERBS,
-) -> list[TokenizedRequirement]:
+def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
     """Split a requirement holding two expectation points into one each.
 
     Looks for a coordinating connective strictly between two numeric
@@ -124,12 +117,12 @@ def split_expectations(
     for a, b in zip(nums, nums[1:]):
         for c in range(a + 1, b):
             tok = req.tokens[c]
-            standalone = tok.normalized in connectives
+            standalone = tok.normalized in DEFAULT_CONNECTIVES
             attached = not standalone and tok.surface[-1] in ",;"
             if not (standalone or attached):
                 continue
             first_end = c if standalone else c + 1
-            prefix = _subject_prefix(req.tokens, first_end, prefix_verbs)
+            prefix = _subject_prefix(req.tokens, first_end)
             part1 = [t.surface for t in req.tokens[:first_end]]
             part2 = [t.surface for t in prefix] + [
                 t.surface for t in req.tokens[c + 1 :]

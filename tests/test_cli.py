@@ -178,6 +178,43 @@ class TestQuantify:
         assert stdout.strip() == "null"
         assert "no pattern matched" in stderr
 
+    def test_bad_line_emits_error_record_and_batch_continues(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text(
+            "The system should response in 2 seconds\n"
+            "The system should response in 50 seconds\n"
+            "The system should response in 3 seconds\n",
+            encoding="utf-8",
+        )
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds", "0,10",
+            ],
+        )
+        assert code == 0
+        lines = stdout.strip().splitlines()
+        assert len(lines) == 3
+        assert json.loads(lines[0])["segments"][0]["v_hi"] == 2.0
+        assert lines[1] == "null"
+        assert json.loads(lines[2])["segments"][0]["v_hi"] == 3.0
+        assert stderr.strip() == "line 2: expectation 50.0 outside bounds (0.0, 10.0)"
+
+    def test_non_finite_bounds_exit_2_before_output(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should response in 2 seconds\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds", "0,inf",
+            ],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "finite" in stderr
+
 
 class TestEval:
     def test_bootstrap_smoke_and_determinism(self, capsys):

@@ -42,6 +42,13 @@ class TestLoadVectors:
         with pytest.raises(VectorFormatError, match="duplicate"):
             load_vectors(f)
 
+    @pytest.mark.parametrize("component", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_component(self, tmp_path, component):
+        f = tmp_path / "v.txt"
+        f.write_text(f"2 2\na 1 0\nb 0 {component}\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="line 3"):
+            load_vectors(f)
+
     def test_bundled_store(self, mini_store):
         assert mini_store.dimension == 50
         assert 250 <= len(mini_store) <= 400

@@ -132,18 +132,3 @@ def test_wordlist_skips_comments(tmp_path):
     f.write_text("# header\nno\nNOT\n\nnever\n", encoding="utf-8")
     assert load_wordlist(f) == ["no", "not", "never"]
 
-
-def test_bundled_lexicons_match_code_defaults():
-    # the text files are the configuration surface; keep them in sync with
-    # the in-code fallbacks
-    from perfquant.data import (
-        default_complements,
-        default_connectives,
-        default_prefix_verbs,
-    )
-    from perfquant.patterns import DEFAULT_COMPLEMENTS
-    from perfquant.text import DEFAULT_CONNECTIVES, DEFAULT_PREFIX_VERBS
-
-    assert default_complements() == DEFAULT_COMPLEMENTS
-    assert default_connectives() == DEFAULT_CONNECTIVES
-    assert default_prefix_verbs() == DEFAULT_PREFIX_VERBS

@@ -181,6 +181,12 @@ class TestQuantify:
             )
 
 
+@pytest.mark.parametrize("bounds", [(0, float("inf")), (float("-inf"), 1), (0, float("nan"))])
+def test_request_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        QuantificationRequest(text="The system should response in 5 seconds", bounds=bounds)
+
+
 def test_direction_lexicon_contains_spec_defaults():
     lexicon = default_directions()
     for word in ("time", "latency", "response", "seconds", "ms"):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -110,6 +111,17 @@ class TestCompileSingle:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             compile_single(label("SS"), None, (10, 10), MIN)
+
+    @pytest.mark.parametrize(
+        "bounds", [(0, math.inf), (-math.inf, 10), (0, math.nan), (math.nan, 10)]
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            compile_single(label("ES"), 5, bounds, MIN)
+        with pytest.raises(ValueError, match="finite"):
+            compile_single(label("SS"), None, bounds, MIN)
+        with pytest.raises(ValueError, match="finite"):
+            combine([(label("ES"), 2), (label("GE"), 5)], bounds, MIN)
 
     def test_segment_counts_over_all_labels(self):
         for lab in ALL_LABELS:
