@@ -17,12 +17,20 @@ NUMBER_WORD = "number"
 
 @dataclass(frozen=True)
 class VectorStore:
+    """Word vectors by word.
+
+    `pattern_vectors` maps a pattern's token sequence to its sentence
+    vector; the matcher fills it, so `entries` must not change once the
+    store is in use.
+    """
+
     dimension: int
     entries: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
             raise ValueError("vector dimension must be positive")
+        object.__setattr__(self, "pattern_vectors", {})
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries

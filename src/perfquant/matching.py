@@ -63,50 +63,21 @@ class MatchResult:
         return self.lcs.v_beta
 
 
-def _match_matrix(pattern: Pattern, req: TokenizedRequirement) -> list[list[bool]]:
-    # the placeholder matches any numeric token, regardless of value
-    rows = []
-    for p_tok in pattern.tokens:
-        if p_tok == PLACEHOLDER:
-            rows.append([t.is_number for t in req.tokens])
-        else:
-            rows.append([t.normalized == p_tok for t in req.tokens])
-    return rows
-
-
-def _lcs_length(match: list[list[bool]], a: int, b: int) -> int:
-    """DP length of the LCS of the whole pattern vs requirement[a..b]."""
-    m = len(match)
-    width = b - a + 1
-    prev = [0] * (width + 1)
-    for i in range(1, m + 1):
-        row = match[i - 1]
-        cur = [0] * (width + 1)
-        for j in range(1, width + 1):
-            if row[a + j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[width]
-
-
-def _reconstruct(match: list[list[bool]], a: int, b: int) -> list[tuple[int, int]]:
+def _reconstruct(masks: list[int], m: int, a: int, b: int) -> list[tuple[int, int]]:
     """Pairs (pattern_index, requirement_index) of one LCS inside [a, b]."""
-    m = len(match)
     width = b - a + 1
     dp = [[0] * (width + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
-        row = match[i - 1]
+        bit = 1 << (i - 1)
         for j in range(1, width + 1):
-            if row[a + j - 1]:
+            if masks[a + j - 1] & bit:
                 dp[i][j] = dp[i - 1][j - 1] + 1
             else:
                 dp[i][j] = max(dp[i - 1][j], dp[i][j - 1])
     pairs = []
     i, j = m, width
     while i > 0 and j > 0:
-        if match[i - 1][a + j - 1] and dp[i][j] == dp[i - 1][j - 1] + 1:
+        if masks[a + j - 1] & (1 << (i - 1)) and dp[i][j] == dp[i - 1][j - 1] + 1:
             pairs.append((i - 1, a + j - 1))
             i -= 1
             j -= 1
@@ -122,33 +93,57 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
     """LCS over normalized tokens; ties resolved toward the most compact match.
 
     Among equal-length subsequences the one spanning the fewest requirement
-    positions wins, then the earliest start.  Found by scanning windows in
-    increasing width: the first window whose internal LCS reaches the global
-    length is exactly the minimal span.
+    positions wins, then the earliest start.
+
+    The search is a bit-parallel scan (Allison & Dix, "A bit-string
+    longest-common-subsequence algorithm", IPL 23, 1986; Hyyro,
+    "Bit-parallel LCS-length computation revisited", AWOCA 2004).  Bit i of
+    the state V stands for pattern position i; each requirement token's
+    row mask M (its bits in `Pattern.bitmasks`, plus the placeholder's bit
+    when the token is numeric) updates U = V & M, V = (V + U) | (V - U),
+    and the LCS so far is m - popcount(V & full).  Python ints have no
+    fixed width, so patterns of any length take the same path.
+
+    A start or an end token that matches no pattern position never bounds
+    a minimal window.  One pass from the first matching token gives the
+    whole LCS length and the first end reaching it; each later matching
+    start scans forward only while a strictly narrower window is possible,
+    and the search stops once the width equals the length.  The pairs are
+    then reconstructed inside the chosen window only.
     """
-    if not req.tokens:
+    table = pattern.bitmasks
+    # the placeholder matches any numeric token, regardless of value
+    number_bit = table.get(PLACEHOLDER, 0)
+    masks = [table.get(t.normalized, 0) | (number_bit if t.is_number else 0) for t in req.tokens]
+    starts = [j for j, mask in enumerate(masks) if mask]
+    if not starts:
         return LcsResult.empty()
-    match = _match_matrix(pattern, req)
-    n = len(req.tokens)
-    total = _lcs_length(match, 0, n - 1)
-    if total == 0:
-        return LcsResult.empty()
+    n = len(masks)
+    m = len(pattern)
+    full = (1 << m) - 1
 
-    usable = [any(match[i][j] for i in range(len(match))) for j in range(n)]
-    best: tuple[int, int] | None = None
-    for width in range(total, n + 1):
-        for a in range(0, n - width + 1):
-            b = a + width - 1
-            if not (usable[a] and usable[b]):
-                continue
-            if _lcs_length(match, a, b) == total:
-                best = (a, b)
-                break
-        if best is not None:
+    v, total, a, b = full, 0, starts[0], starts[0]
+    for j in range(a, n):
+        u = v & masks[j]
+        if u:
+            v = (v + u) | (v - u)
+            length = m - (v & full).bit_count()
+            if length > total:
+                total, b = length, j
+
+    for start in starts[1:]:
+        if b - a + 1 == total:
             break
-    assert best is not None
-    pairs = _reconstruct(match, best[0], best[1])
+        v = full
+        for j in range(start, min(n, start + b - a)):
+            u = v & masks[j]
+            if u:
+                v = (v + u) | (v - u)
+                if m - (v & full).bit_count() == total:
+                    a, b = start, j
+                    break
 
+    pairs = _reconstruct(masks, m, a, b)
     positions = tuple(req_j for _, req_j in pairs)
     tokens = tuple(req.tokens[j].normalized for j in positions)
     v_beta = None
@@ -182,13 +177,18 @@ def syntactic_score(pattern: Pattern, result: LcsResult) -> tuple[float, float]:
 
 
 def semantic_score(store: VectorStore, pattern: Pattern, result: LcsResult) -> float:
-    """Cosine of the averaged word vectors of pattern and matched tokens."""
+    """Cosine of the averaged word vectors of pattern and matched tokens.
+
+    The pattern's vector is computed once per store and kept in
+    `store.pattern_vectors`.
+    """
     if result.length == 0:
         return 0.0
-    return cosine(
-        sentence_vector(store, list(pattern.tokens)),
-        sentence_vector(store, list(result.matched_tokens)),
-    )
+    pattern_vector = store.pattern_vectors.get(pattern.tokens)
+    if pattern_vector is None:
+        pattern_vector = sentence_vector(store, list(pattern.tokens))
+        store.pattern_vectors[pattern.tokens] = pattern_vector
+    return cosine(pattern_vector, sentence_vector(store, list(result.matched_tokens)))
 
 
 def fuse(syn: float, sem: float, cfg: MatcherConfig) -> float:
@@ -238,14 +238,21 @@ def select(
     placeholder binding alone does not make a match).  Ties break toward
     the higher syntactic score, then the shorter pattern, then the lower
     pattern index, making selection deterministic.
+
+    Only patterns sharing a word token with the requirement are visited
+    (`PatternKB.token_index`): a pattern holds at most one placeholder, so
+    any other pattern's LCS is empty or the placeholder alone.
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
     cfg = cfg or MatcherConfig()
 
+    index_of = kb.token_index
+    candidates = sorted({i for t in req.tokens for i in index_of.get(t.normalized, ())})
     best = None
     best_key = None
-    for index, pattern in enumerate(kb.patterns):
+    for index in candidates:
+        pattern = kb.patterns[index]
         result = lcs(pattern, req)
         if result.length == 0:
             continue

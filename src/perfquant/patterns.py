@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NoExtractableSpan, PatternParseError, UnknownLabelCode
 from .satisfaction import ClassLabel
@@ -62,6 +63,14 @@ class Pattern:
     def has_placeholder(self) -> bool:
         return PLACEHOLDER in self.tokens
 
+    @cached_property
+    def bitmasks(self) -> dict[str, int]:
+        """Token -> mask with bit i set where position i holds that token."""
+        table: dict[str, int] = {}
+        for i, token in enumerate(self.tokens):
+            table[token] = table.get(token, 0) | 1 << i
+        return table
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -85,6 +94,20 @@ class PatternKB:
             seen.add(key)
             unique.append(p)
         return cls(tuple(unique), frozenset(w.lower() for w in negations))
+
+    @cached_property
+    def token_index(self) -> dict[str, list[int]]:
+        """Word token -> ascending indices of the patterns holding it.
+
+        The placeholder is left out: it is the only token a pattern may
+        match without sharing a word with the requirement.
+        """
+        index: dict[str, list[int]] = {}
+        for i, pattern in enumerate(self.patterns):
+            for token in dict.fromkeys(pattern.tokens):
+                if token != PLACEHOLDER:
+                    index.setdefault(token, []).append(i)
+        return index
 
     def __len__(self) -> int:
         return len(self.patterns)

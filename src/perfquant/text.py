@@ -42,18 +42,24 @@ class TokenizedRequirement:
         return [t.position for t in self.tokens if t.is_number]
 
 
-def _parse_number(text: str) -> float | None:
-    if NUMBER_RE.match(text):
-        return float(text.replace(",", ""))
-    return None
+def _parse_number(chunk: str, stripped: str) -> float | None:
+    """The number `stripped` spells, negated when a '-' directly precedes it
+    in `chunk`."""
+    if not NUMBER_RE.match(stripped):
+        return None
+    value = float(stripped.replace(",", ""))
+    lead = chunk[: len(chunk) - len(chunk.lstrip(string.punctuation))]
+    return -value if lead.endswith("-") else value
 
 
 def tokenize(text: str) -> TokenizedRequirement:
     """Split on whitespace, strip surrounding punctuation, recognize numbers.
 
-    Thousands separators and decimals are parsed ("1,000" -> 1000.0).  A
-    token consisting only of punctuation (a lone ";" or ",") keeps its
-    surface as the normalized form so connectives stay matchable.
+    Thousands separators and decimals are parsed ("1,000" -> 1000.0), and
+    a sign directly before the digits sets the value's sign ("-5" -> -5.0)
+    while the normalized form stays unsigned ("5").  A token consisting
+    only of punctuation (a lone ";" or ",") keeps its surface as the
+    normalized form so connectives stay matchable.
     """
     if not text.strip():
         raise EmptyInput("requirement text is empty")
@@ -61,7 +67,7 @@ def tokenize(text: str) -> TokenizedRequirement:
     for position, chunk in enumerate(text.split()):
         stripped = chunk.strip(string.punctuation)
         normalized = stripped.lower() if stripped else chunk.lower()
-        value = _parse_number(stripped) if stripped else None
+        value = _parse_number(chunk, stripped) if stripped else None
         tokens.append(
             Token(
                 surface=chunk,

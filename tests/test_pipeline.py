@@ -9,7 +9,7 @@ from perfquant import (
     quantify,
 )
 from perfquant.data import default_directions
-from perfquant.errors import InconsistentDirections, NoMatch
+from perfquant.errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch
 from perfquant.patterns import PLACEHOLDER, PatternKB
 
 
@@ -179,6 +179,22 @@ class TestQuantify:
                 example_kb,
                 mini_store,
             )
+
+
+SIGNED_REQ = "The temperature shall stay above -5 degrees"
+
+
+def test_negative_expectation_outside_default_bounds_raises(mini_store, bundled_kb):
+    with pytest.raises(ExpectationOutOfBounds):
+        quantify(QuantificationRequest(text=SIGNED_REQ), bundled_kb, mini_store)
+
+
+def test_negative_expectation_keeps_its_sign(mini_store, bundled_kb):
+    result = quantify(
+        QuantificationRequest(text=SIGNED_REQ, bounds=(-10, 10)), bundled_kb, mini_store
+    )
+    assert [v_beta for _, _, v_beta, _ in result.parts] == [-5.0]
+    assert result.function.bounds == (-10.0, 10.0)
 
 
 @pytest.mark.parametrize("bounds", [(0, float("inf")), (float("-inf"), 1), (0, float("nan"))])

@@ -24,6 +24,16 @@ class TestTokenize:
     def test_decimal(self):
         assert tokenize("uptime of 99.9 percent").tokens[2].numeric_value == 99.9
 
+    @pytest.mark.parametrize(
+        "chunk, value",
+        [("-5", -5.0), ("+5", 5.0), ("(-2.5)", -2.5), ("-1,000", -1000.0), ("5-", 5.0)],
+    )
+    def test_sign_before_digits_sets_value_only(self, chunk, value):
+        token = tokenize(f"stay above {chunk} degrees").tokens[2]
+        assert token.numeric_value == value
+        assert token.is_number
+        assert token.normalized == chunk.strip("()+-")
+
     def test_punctuation_stripped(self):
         req = tokenize("(Response) time, shall be 2s!")
         assert req.tokens[0].normalized == "response"
