@@ -63,30 +63,41 @@ class MatchResult:
         return self.lcs.v_beta
 
 
-def _reconstruct(masks: list[int], m: int, a: int, b: int) -> list[tuple[int, int]]:
-    """Pairs (pattern_index, requirement_index) of one LCS inside [a, b]."""
-    width = b - a + 1
-    dp = [[0] * (width + 1) for _ in range(m + 1)]
-    for i in range(1, m + 1):
-        bit = 1 << (i - 1)
-        for j in range(1, width + 1):
-            if masks[a + j - 1] & bit:
-                dp[i][j] = dp[i - 1][j - 1] + 1
-            else:
-                dp[i][j] = max(dp[i - 1][j], dp[i][j - 1])
-    pairs = []
-    i, j = m, width
+def _reconstruct(masks: list[int], m: int, a: int, b: int) -> tuple[list[int], list[int]]:
+    """Pattern and requirement indices, in order, of one LCS inside [a, b].
+
+    The scan of `lcs` is replayed over the window, keeping V after each
+    token: the DP cell for pattern prefix i and window prefix j is
+    i - popcount(V_j & (2**i - 1)).  The walk back is the table walk's:
+    a match goes diagonally, otherwise up when the cell above is at least
+    the cell to the left.
+    """
+    v = (1 << m) - 1
+    states = [v]
+    for j in range(a, b + 1):
+        u = v & masks[j]
+        if u:
+            v = (v + u) | (v - u)
+        states.append(v)
+    pattern_indices: list[int] = []
+    req_indices: list[int] = []
+    i, j = m, b - a + 1
     while i > 0 and j > 0:
-        if masks[a + j - 1] & (1 << (i - 1)) and dp[i][j] == dp[i - 1][j - 1] + 1:
-            pairs.append((i - 1, a + j - 1))
+        bit = 1 << (i - 1)
+        if masks[a + j - 1] & bit:
             i -= 1
             j -= 1
-        elif dp[i - 1][j] >= dp[i][j - 1]:
+            pattern_indices.append(i)
+            req_indices.append(a + j)
+        elif (i - 1) - (states[j] & (bit - 1)).bit_count() >= i - (
+            states[j - 1] & (bit | (bit - 1))
+        ).bit_count():
             i -= 1
         else:
             j -= 1
-    pairs.reverse()
-    return pairs
+    pattern_indices.reverse()
+    req_indices.reverse()
+    return pattern_indices, req_indices
 
 
 def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
@@ -119,7 +130,7 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
     if not starts:
         return LcsResult.empty()
     n = len(masks)
-    m = len(pattern)
+    m = len(pattern.tokens)
     full = (1 << m) - 1
 
     v, total, a, b = full, 0, starts[0], starts[0]
@@ -143,17 +154,16 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
                     a, b = start, j
                     break
 
-    pairs = _reconstruct(masks, m, a, b)
-    positions = tuple(req_j for _, req_j in pairs)
-    tokens = tuple(req.tokens[j].normalized for j in positions)
+    pattern_indices, positions = _reconstruct(masks, m, a, b)
     v_beta = None
-    for pat_i, req_j in pairs:
-        if pattern.tokens[pat_i] == PLACEHOLDER:
-            v_beta = req.tokens[req_j].numeric_value
+    if number_bit:
+        for pat_i, req_j in zip(pattern_indices, positions):
+            if number_bit >> pat_i & 1:
+                v_beta = req.tokens[req_j].numeric_value
     return LcsResult(
-        matched_tokens=tokens,
-        matched_positions=positions,
-        length=len(pairs),
+        matched_tokens=tuple([req.tokens[j].normalized for j in positions]),
+        matched_positions=tuple(positions),
+        length=len(positions),
         first_index=positions[0],
         last_index=positions[-1],
         v_beta=v_beta,
