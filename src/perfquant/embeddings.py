@@ -17,7 +17,7 @@ NUMBER_WORD = "number"
 
 @dataclass(frozen=True)
 class VectorStore:
-    """Word vectors by word.
+    """Word vectors by word, each of shape (dimension,) and finite.
 
     `pattern_vectors` maps a pattern's token sequence to its sentence
     vector; the matcher fills it, so `entries` must not change once the
@@ -30,6 +30,13 @@ class VectorStore:
     def __post_init__(self) -> None:
         if self.dimension <= 0:
             raise ValueError("vector dimension must be positive")
+        for word, vec in self.entries.items():
+            if np.shape(vec) != (self.dimension,):
+                raise DimensionMismatch(
+                    f"vector of {word!r} has shape {np.shape(vec)}, expected ({self.dimension},)"
+                )
+            if not np.isfinite(vec).all():
+                raise VectorFormatError(f"vector of {word!r} has a non-finite component")
         object.__setattr__(self, "pattern_vectors", {})
 
     def __contains__(self, word: str) -> bool:

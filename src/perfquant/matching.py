@@ -14,6 +14,10 @@ from .text import DEFAULT_PREFIX_VERBS, TokenizedRequirement
 # only of these (and no bound number) is noise
 _FUNCTION_WORDS = frozenset(STOPWORDS | {*DEFAULT_PREFIX_VERBS, "may"})
 
+# a cosine of finite vectors exceeds 1.0 by a few ulps at most; `select`
+# bounds the semantic score by this
+_SEM_CEILING = 1.0 + 1e-9
+
 
 @dataclass(frozen=True)
 class LcsResult:
@@ -249,19 +253,48 @@ def select(
     the higher syntactic score, then the shorter pattern, then the lower
     pattern index, making selection deterministic.
 
-    Only patterns sharing a word token with the requirement are visited
+    Only patterns sharing a word token with the requirement are candidates
     (`PatternKB.token_index`): a pattern holds at most one placeholder, so
     any other pattern's LCS is empty or the placeholder alone.
+
+    Candidates are scored best first, by an upper bound on their fused
+    score, and the search stops once none can win (threshold pruning over
+    an inverted index: Fagin, Lotem & Naor, "Optimal aggregation
+    algorithms for middleware", PODS 2001; Broder et al., "Efficient query
+    evaluation using a two-level retrieval process", CIKM 2003).  A
+    pattern's reach is the number of its positions whose token occurs in
+    the requirement, the placeholder counting when the requirement holds a
+    number; each LCS pair uses a distinct such position, so the LCS length
+    is at most the reach.  The syntactic score is at most reach / len, as
+    the span penalty is a factor of at most 1 and rounding is monotone, and
+    a cosine exceeds 1.0 by a few ulps at most, so the bound
+    fuse(reach / len, _SEM_CEILING) holds in floating point for any w in
+    [0, 1].  Candidates are visited in descending bound, then ascending
+    index, and the visit stops at the first bound strictly below the best
+    fused score so far: a candidate whose bound equals it could still tie
+    on fused and win on the tie-break.
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
     cfg = cfg or MatcherConfig()
 
     index_of = kb.token_index
-    candidates = sorted({i for t in req.tokens for i in index_of.get(t.normalized, ())})
+    words = {t.normalized for t in req.tokens}
+    candidates = {i for t in words for i in index_of.get(t, ())}
+    if any(t.is_number for t in req.tokens):
+        words.add(PLACEHOLDER)
+    ranked = []
+    for index in candidates:
+        tokens = kb.patterns[index].tokens
+        reach = sum(t in words for t in tokens)
+        ranked.append((-fuse(reach / len(tokens), _SEM_CEILING, cfg), index))
+    ranked.sort()
+
     best = None
     best_key = None
-    for index in candidates:
+    for neg_bound, index in ranked:
+        if best_key is not None and -neg_bound < best_key[0]:
+            break
         pattern = kb.patterns[index]
         result = lcs(pattern, req)
         if result.length == 0:

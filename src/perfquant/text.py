@@ -10,6 +10,11 @@ from .errors import EmptyInput
 
 NUMBER_RE = re.compile(r"^\d{1,3}(?:,\d{3})+(?:\.\d+)?$|^\d+(?:\.\d+)?$")
 
+# a number run together with a unit ("15ms", "2s"): a numeric head and a
+# tail of letters; ordinal suffixes ("1st", "4th") are not units
+_UNIT_SUFFIXED_RE = re.compile(r"(\d[\d,.]*)([^\W\d_]+)")
+_ORDINAL_SUFFIXES = frozenset({"st", "nd", "rd", "th"})
+
 # connectives that may join two expectation clauses, and the modal verbs
 # that delimit the shared subject prefix
 DEFAULT_CONNECTIVES = ("and", "or", "while", ";", ",")
@@ -52,31 +57,40 @@ def _parse_number(chunk: str, stripped: str) -> float | None:
     return -value if lead.endswith("-") else value
 
 
+def _token(surface: str, word: str, position: int) -> Token:
+    value = _parse_number(surface, word) if word else None
+    return Token(
+        surface=surface,
+        normalized=word.lower() if word else surface.lower(),
+        is_number=value is not None,
+        numeric_value=value,
+        position=position,
+    )
+
+
 def tokenize(text: str) -> TokenizedRequirement:
     """Split on whitespace, strip surrounding punctuation, recognize numbers.
 
     Thousands separators and decimals are parsed ("1,000" -> 1000.0), and
     a sign directly before the digits sets the value's sign ("-5" -> -5.0)
-    while the normalized form stays unsigned ("5").  A token consisting
-    only of punctuation (a lone ";" or ",") keeps its surface as the
-    normalized form so connectives stay matchable.
+    while the normalized form stays unsigned ("5").  A number directly
+    followed by letters becomes two tokens, the number and the lowercased
+    letters ("15ms" -> "15", "ms"), unless the letters are an ordinal
+    suffix.  A token consisting only of punctuation (a lone ";" or ",")
+    keeps its surface as the normalized form so connectives stay
+    matchable.
     """
     if not text.strip():
         raise EmptyInput("requirement text is empty")
-    tokens = []
-    for position, chunk in enumerate(text.split()):
+    tokens: list[Token] = []
+    for chunk in text.split():
         stripped = chunk.strip(string.punctuation)
-        normalized = stripped.lower() if stripped else chunk.lower()
-        value = _parse_number(chunk, stripped) if stripped else None
-        tokens.append(
-            Token(
-                surface=chunk,
-                normalized=normalized,
-                is_number=value is not None,
-                numeric_value=value,
-                position=position,
-            )
-        )
+        unit = stripped[:1].isdigit() and _UNIT_SUFFIXED_RE.fullmatch(stripped)
+        if unit and NUMBER_RE.match(unit[1]) and unit[2].lower() not in _ORDINAL_SUFFIXES:
+            cut = chunk.index(stripped) + len(unit[1])
+            tokens.append(_token(chunk[:cut], unit[1], len(tokens)))
+            chunk, stripped = chunk[cut:], unit[2]
+        tokens.append(_token(chunk, stripped, len(tokens)))
     return TokenizedRequirement(raw=text, tokens=tuple(tokens))
 
 

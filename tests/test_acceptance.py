@@ -137,26 +137,45 @@ def test_classification_reproduction(mini_store):
     assert sorted(p.v_beta for p in double) == [2.0, 5.0]
 
 
+def _position_sets(n, size):
+    """Every `size`-subset of range(n): narrowest span first, then earliest start."""
+    if size == 1:
+        for j in range(n):
+            yield (j,)
+        return
+    for width in range(size - 1, n):
+        for first in range(n - width):
+            last = first + width
+            for inner in itertools.combinations(range(first + 1, last), size - 2):
+                yield (first, *inner, last)
+
+
 def _oracle_lcs(p_tokens, r_tokens):
-    """Brute-force enumerator: max length, then min distance, then min first."""
+    """Brute-force enumerator: max length, then min distance, then min first.
 
-    def matches(pt, rt):
-        if pt == PLACEHOLDER:
-            return rt.isdigit()
-        return pt == rt
-
-    n = len(r_tokens)
-    for size in range(len(p_tokens), 0, -1):
-        best_key, best = None, None
-        for subset in itertools.combinations(range(len(p_tokens)), size):
-            toks = [p_tokens[i] for i in subset]
-            for pos in itertools.combinations(range(n), size):
-                if all(matches(t, r_tokens[j]) for t, j in zip(toks, pos)):
-                    key = (-(pos[-1] - pos[0]), -pos[0])
-                    if best_key is None or key > best_key:
-                        best_key, best = key, (size, pos[0], pos[-1])
-        if best is not None:
-            return best
+    Every set of requirement positions is tried, largest sets first and
+    each size in tie-break order, so the first set whose tokens match a
+    subsequence of the pattern is the answer.  Whether they do is decided
+    by matching each token to the leftmost pattern position still free,
+    which finds a subsequence whenever one exists.
+    """
+    m = len(p_tokens)
+    matches = [
+        [rt.isdigit() if pt == PLACEHOLDER else pt == rt for pt in p_tokens]
+        for rt in r_tokens
+    ]
+    for size in range(min(m, len(r_tokens)), 0, -1):
+        for pos in _position_sets(len(r_tokens), size):
+            i = 0
+            for j in pos:
+                row = matches[j]
+                while i < m and not row[i]:
+                    i += 1
+                if i == m:
+                    break
+                i += 1
+            else:
+                return (size, pos[0], pos[-1])
     return (0, -1, -1)
 
 

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from perfquant import cosine, load_vectors, sentence_vector
+from perfquant import VectorStore, cosine, load_vectors, sentence_vector
 from perfquant.data import VECTORS_FILE, path as data_path
 from perfquant.errors import DimensionMismatch, VectorFormatError
 
@@ -57,6 +57,19 @@ class TestLoadVectors:
         # matches the on-disk file exactly
         again = load_vectors(data_path(VECTORS_FILE))
         assert len(again) == len(mini_store)
+
+
+class TestVectorStore:
+    @pytest.mark.parametrize("component", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component(self, component):
+        entries = {"respond": np.zeros(3), "within": np.array([1.0, component, 0.0])}
+        with pytest.raises(VectorFormatError, match="within"):
+            VectorStore(3, entries)
+
+    @pytest.mark.parametrize("vec", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.float64(1.0)])
+    def test_wrong_shape(self, vec):
+        with pytest.raises(DimensionMismatch, match="respond"):
+            VectorStore(3, {"within": np.ones(3), "respond": vec})
 
 
 class TestSentenceVector:

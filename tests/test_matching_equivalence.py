@@ -1,4 +1,4 @@
-"""The bit-parallel `lcs` and the index-pruned `select` against references.
+"""The bit-parallel `lcs` and the best-first `select` against references.
 
 `reference_lcs` is the windowed dynamic-programming LCS the bit-parallel
 scan replaced; `exhaustive_select` scores every pattern of the base.  Both
@@ -32,7 +32,7 @@ from perfquant import evaluation, matching
 from perfquant.data import HOLDOUT_FILE, MINI_CORPUS_FILE, default_negations
 from perfquant.data import path as data_path
 from perfquant.evaluation import load_dataset
-from perfquant.matching import _FUNCTION_WORDS, fuse
+from perfquant.matching import _FUNCTION_WORDS, _SEM_CEILING, fuse
 from perfquant.patterns import PLACEHOLDER, PatternKB
 from perfquant.text import TokenizedRequirement, split_expectations, tokenize
 
@@ -209,9 +209,9 @@ def request_parts():
     return [part for text in texts for part in split_expectations(tokenize(text))]
 
 
-def exhaustive_select(kb, store, req, cfg=MatcherConfig()):
-    """Every pattern scored, the pattern vector computed afresh each time."""
-    best = best_key = None
+def scored_patterns(kb, store, req, cfg=MatcherConfig()):
+    """Every competing pattern of the base as an unlabelled MatchResult,
+    the pattern vector computed afresh each time."""
     for index, pattern in enumerate(kb.patterns):
         result = lcs(pattern, req)
         if result.length == 0:
@@ -226,21 +226,44 @@ def exhaustive_select(kb, store, req, cfg=MatcherConfig()):
             sentence_vector(store, list(result.matched_tokens)),
         )
         fused = fuse(syn, sem, cfg)
-        key = (fused, syn, -len(pattern), -index)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = MatchResult(index, pattern, result, syn_raw, syn, sem, fused, pattern.label)
+        yield MatchResult(index, pattern, result, syn_raw, syn, sem, fused, pattern.label)
+
+
+def exhaustive_select(kb, store, req, cfg=MatcherConfig()):
+    """Every pattern scored, the best by (fused, syn, -len, -index)."""
+    best = max(
+        scored_patterns(kb, store, req, cfg),
+        key=lambda m: (m.fused, m.syn, -len(m.pattern), -m.pattern_index),
+        default=None,
+    )
     if best is None:
         return None
     label = apply_negation(kb, req, best.lcs, best.pattern.label, best.pattern)
     return dataclasses.replace(best, label=label)
 
 
+def reach(pattern, req):
+    """Pattern positions whose token occurs in the requirement; the
+    placeholder counts when the requirement holds a number."""
+    words = {t.normalized for t in req.tokens}
+    has_number = any(t.is_number for t in req.tokens)
+    return sum(t in words or (t == PLACEHOLDER and has_number) for t in pattern.tokens)
+
+
+def upper_bound(pattern, req, cfg=MatcherConfig()):
+    return fuse(reach(pattern, req) / len(pattern), _SEM_CEILING, cfg)
+
+
+def shares_a_word(pattern, req):
+    return bool({t.normalized for t in req.tokens} & (set(pattern.tokens) - {PLACEHOLDER}))
+
+
 def test_pruned_select_equals_exhaustive_on_a_large_base(
     big_patterns, request_parts, mini_store, monkeypatch
 ):
-    """select scores, in base order, exactly the patterns sharing a word
-    with the part, and picks what scoring every pattern picks."""
+    """select scores only patterns sharing a word with the part, in
+    descending bound, skips only those that cannot win, and picks what
+    scoring every pattern picks."""
     kb = PatternKB.build(big_patterns, default_negations())
     assert len(kb) > 950
     visited = []
@@ -254,10 +277,107 @@ def test_pruned_select_equals_exhaustive_on_a_large_base(
     for part in request_parts:
         visited.clear()
         got = select(kb, mini_store, part)
-        words = {t.normalized for t in part.tokens}
-        assert visited == [p for p in kb.patterns if words & (set(p.tokens) - {PLACEHOLDER})]
+        assert all(shares_a_word(p, part) for p in visited)
+        # descending bound, ties by ascending index
+        order = [(-upper_bound(p, part), kb.patterns.index(p)) for p in visited]
+        assert order == sorted(order)
+        skipped = [p for p in kb.patterns if shares_a_word(p, part) and p not in visited]
+        assert all(upper_bound(p, part) < got.fused for p in skipped)
         assert got == exhaustive_select(kb, mini_store, part), part.raw
         matched += got is not None
+    assert matched > len(request_parts) // 2
+
+
+def test_every_score_is_within_its_bound(big_patterns, request_parts, mini_store):
+    """On the large base, for several weights, no competing pattern's LCS
+    outruns its reach, its cosine the semantic ceiling, or its fused score
+    its bound.  Some cosines do exceed 1.0."""
+    kb = PatternKB.build(big_patterns, default_negations())
+    configs = [MatcherConfig(w) for w in (0.0, 0.3, 0.7, 1.0)]
+    checked, top_sem = 0, 0.0
+    for part in request_parts:
+        for m in scored_patterns(kb, mini_store, part):
+            assert m.lcs.length <= reach(m.pattern, part)
+            for cfg in configs:
+                fused = fuse(m.syn, m.sem, cfg)
+                assert fused <= upper_bound(m.pattern, part, cfg), (m.pattern, part.raw, cfg)
+            top_sem = max(top_sem, m.sem)
+            checked += 1
+    assert checked > 10_000
+    assert 1.0 < top_sem <= _SEM_CEILING
+
+
+BASE_WORDS = ("respond", "within", "under", "less", "than", "at", "most", "the", "shall", "7")
+REQUEST_WORDS = BASE_WORDS + ("seconds", "x", "5", "1,000")
+LABELS = tuple(ClassLabel.from_codes(*codes) for codes in ("ES", "GE", "SE", "EE", "SG"))
+
+
+@st.composite
+def small_base_and_part(draw):
+    patterns = []
+    for _ in range(draw(st.integers(1, 12))):
+        # repeated tokens are drawn freely
+        tokens = draw(st.lists(st.sampled_from(BASE_WORDS), min_size=1, max_size=6))
+        if draw(st.booleans()):
+            tokens.insert(draw(st.integers(0, len(tokens))), PLACEHOLDER)
+        # PatternKB.build keeps same-token patterns with different labels;
+        # they tie on everything but the index
+        for label in draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3)):
+            patterns.append(Pattern(tuple(tokens), label))
+    words = draw(st.lists(st.sampled_from(REQUEST_WORDS), min_size=1, max_size=14))
+    return PatternKB.build(patterns, ("not", "no")), tokenize(" ".join(words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_base_and_part(), st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+@example(
+    (PatternKB.build([Pattern(("under", PLACEHOLDER), lab) for lab in LABELS]), tokenize("under 5")),
+    0.7,
+)
+@example((PatternKB.build([Pattern(("the", "respond"), LABELS[0])]), tokenize("respond x")), 0.0)
+def test_select_equals_exhaustive_on_small_bases(mini_store, case, w):
+    kb, part = case
+    cfg = MatcherConfig(w)
+    assert select(kb, mini_store, part, cfg) == exhaustive_select(kb, mini_store, part, cfg)
+
+
+def assert_order_independent(patterns, parts, store, seeds=(1, 2, 3)):
+    """The winner's (fused, syn, len) does not depend on the order of the
+    base, nor do its tokens and label when no other pattern shares that key."""
+    kb = PatternKB.build(patterns, default_negations())
+    shuffled = []
+    for seed in seeds:
+        order = list(patterns)
+        random.Random(seed).shuffle(order)
+        shuffled.append(PatternKB.build(order, default_negations()))
+    matched = 0
+    for part in parts:
+        want = select(kb, store, part)
+        if want is None:
+            assert all(select(other, store, part) is None for other in shuffled)
+            continue
+        matched += 1
+        key = (want.fused, want.syn, len(want.pattern))
+        unique = [
+            (m.fused, m.syn, len(m.pattern)) for m in scored_patterns(kb, store, part)
+        ].count(key) == 1
+        for other in shuffled:
+            got = select(other, store, part)
+            assert (got.fused, got.syn, len(got.pattern)) == key, part.raw
+            if unique:
+                assert (got.pattern.tokens, got.label) == (want.pattern.tokens, want.label)
+    return matched
+
+
+def test_bundled_base_selection_is_order_independent(bundled_kb, mini_store):
+    texts = [row.text for name in (MINI_CORPUS_FILE, HOLDOUT_FILE)
+             for row in load_dataset(data_path(name))]
+    parts = [part for text in texts for part in split_expectations(tokenize(text))]
+    assert assert_order_independent(bundled_kb.patterns, parts, mini_store) == len(parts)
+
+
+def test_large_base_selection_is_order_independent(big_patterns, request_parts, mini_store):
+    matched = assert_order_independent(big_patterns, request_parts, mini_store)
     assert matched > len(request_parts) // 2
 
 

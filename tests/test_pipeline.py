@@ -197,6 +197,21 @@ def test_negative_expectation_keeps_its_sign(mini_store, bundled_kb):
     assert result.function.bounds == (-10.0, 10.0)
 
 
+@pytest.mark.parametrize(
+    "suffixed, spaced",
+    [
+        ("The response time shall be under 15ms", "The response time shall be under 15 ms"),
+        ("The job shall finish within 2s", "The job shall finish within 2 s"),
+    ],
+)
+def test_unit_suffixed_number_quantifies_like_a_spaced_one(suffixed, spaced, mini_store, bundled_kb):
+    got, want = (
+        quantify(QuantificationRequest(text=t), bundled_kb, mini_store) for t in (suffixed, spaced)
+    )
+    assert got.function.to_json() == want.function.to_json()
+    assert [p[1:] for p in got.parts] == [p[1:] for p in want.parts]
+
+
 @pytest.mark.parametrize("bounds", [(0, float("inf")), (float("-inf"), 1), (0, float("nan"))])
 def test_request_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="finite"):

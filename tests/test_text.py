@@ -34,6 +34,26 @@ class TestTokenize:
         assert token.is_number
         assert token.normalized == chunk.strip("()+-")
 
+    @pytest.mark.parametrize(
+        "chunk, value, unit",
+        [("15ms", 15.0, "ms"), ("2S", 2.0, "s"), ("(-2.5sec),", -2.5, "sec"),
+         ("1,000rps", 1000.0, "rps")],
+    )
+    def test_unit_suffixed_number_becomes_two_tokens(self, chunk, value, unit):
+        req = tokenize(f"under {chunk} always")
+        number, suffix = req.tokens[1:3]
+        assert number.is_number and number.numeric_value == value
+        assert (suffix.normalized, suffix.is_number) == (unit, False)
+        assert number.surface + suffix.surface == chunk
+        assert [t.position for t in req.tokens] == [0, 1, 2, 3]
+        assert tokenize(" ".join(t.surface for t in req.tokens)).tokens == req.tokens
+
+    @pytest.mark.parametrize("chunk", ["1st", "22nd", "3RD", "4th", "1e3", "15.ms", "a15ms"])
+    def test_ordinals_and_other_forms_stay_one_non_number(self, chunk):
+        req = tokenize(f"the {chunk} run")
+        assert len(req.tokens) == 3
+        assert not req.tokens[1].is_number
+
     def test_punctuation_stripped(self):
         req = tokenize("(Response) time, shall be 2s!")
         assert req.tokens[0].normalized == "response"
