@@ -18,12 +18,11 @@ from .evaluation import (
     report_json,
     report_lines,
 )
-from .matching import MatcherConfig, select
+from .matching import MatcherConfig
 from .patterns import PatternKB, format_patterns, load_patterns
-from .pipeline import QuantificationRequest, quantify
+from .pipeline import QuantificationRequest, classify, quantify
 from .satisfaction import MetricDirection
 from .embeddings import load_vectors
-from .text import tokenize
 
 
 def _write_atomic(path: str, content: str) -> None:
@@ -66,17 +65,19 @@ def run_classify(args: argparse.Namespace) -> int:
     kb = load_patterns(args.patterns)
     store = load_vectors(args.vectors)
     cfg = MatcherConfig(w=args.w)
-    print("line_no\tleft\tright\tv_beta\tfused\tpattern")
+    print("line_no\tpart\tleft\tright\tv_beta\tfused\tpattern")
     for line_no, line in enumerate(_read_lines(args.input), start=1):
-        match = select(kb, store, tokenize(line), cfg)
-        if match is None:
-            print(f"{line_no}\tNA\tNA\tNA\t0.0\t-")
-            continue
-        left, right = match.label.codes
-        print(
-            f"{line_no}\t{left}\t{right}\t{_format_beta(match.v_beta)}"
-            f"\t{match.fused:.4f}\t{match.pattern.text}"
-        )
+        # one row per split part, so a second expectation point is kept
+        for part_no, part in enumerate(classify(line, kb, store, cfg), start=1):
+            match = part.match
+            if match is None:
+                print(f"{line_no}\t{part_no}\tNA\tNA\tNA\t0.0\t-")
+                continue
+            left, right = match.label.codes
+            print(
+                f"{line_no}\t{part_no}\t{left}\t{right}\t{_format_beta(match.v_beta)}"
+                f"\t{match.fused:.4f}\t{match.pattern.text}"
+            )
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -15,9 +16,24 @@ from .text import NUMBER_RE
 NUMBER_WORD = "number"
 
 
+def _vector_defect(vec: np.ndarray) -> str | None:
+    """Why `vec` cannot serve as a word vector, or None.
+
+    A finite vector whose squared norm overflows would make its cosines
+    NaN, and a NaN score compares false with every other.  Callers hold
+    np.errstate(over="ignore"), entered once per store, not per vector.
+    """
+    if math.isfinite(vec @ vec):
+        return None
+    if not np.isfinite(vec).all():
+        return "a non-finite component"
+    return "a squared norm that overflows"
+
+
 @dataclass(frozen=True)
 class VectorStore:
-    """Word vectors by word, each of shape (dimension,) and finite.
+    """Word vectors by word, each of shape (dimension,), finite, and with a
+    finite squared norm.
 
     `pattern_vectors` maps a pattern's token sequence to its sentence
     vector; the matcher fills it, so `entries` must not change once the
@@ -30,13 +46,14 @@ class VectorStore:
     def __post_init__(self) -> None:
         if self.dimension <= 0:
             raise ValueError("vector dimension must be positive")
-        for word, vec in self.entries.items():
-            if np.shape(vec) != (self.dimension,):
-                raise DimensionMismatch(
-                    f"vector of {word!r} has shape {np.shape(vec)}, expected ({self.dimension},)"
-                )
-            if not np.isfinite(vec).all():
-                raise VectorFormatError(f"vector of {word!r} has a non-finite component")
+        with np.errstate(over="ignore"):
+            for word, vec in self.entries.items():
+                if np.shape(vec) != (self.dimension,):
+                    raise DimensionMismatch(
+                        f"vector of {word!r} has shape {np.shape(vec)}, expected ({self.dimension},)"
+                    )
+                if defect := _vector_defect(vec):
+                    raise VectorFormatError(f"vector of {word!r} has {defect}")
         object.__setattr__(self, "pattern_vectors", {})
 
     def __contains__(self, word: str) -> bool:
@@ -52,7 +69,7 @@ class VectorStore:
 def load_vectors(path: str | os.PathLike) -> VectorStore:
     """Read a word2vec text file: header "vocab_size dimension", then one
     word plus `dimension` floats per line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
         header = fh.readline().split()
         if len(header) != 2:
             raise VectorFormatError(f"{path}: header must be 'vocab_size dimension'")
@@ -79,8 +96,8 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
                 vec = np.array([float(x) for x in values], dtype=np.float64)
             except ValueError as exc:
                 raise VectorFormatError(f"{path}: line {lineno}: non-numeric component") from exc
-            if not np.isfinite(vec).all():
-                raise VectorFormatError(f"{path}: line {lineno}: non-finite component")
+            if defect := _vector_defect(vec):
+                raise VectorFormatError(f"{path}: line {lineno}: {defect}")
             entries[word] = vec
 
     if len(entries) != vocab_size:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .embeddings import VectorStore, cosine, sentence_vector
 from .errors import EmptyKB
@@ -240,6 +242,24 @@ def apply_negation(
     return label
 
 
+def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dict[int, float]:
+    """Each candidate's upper bound on its fused score, by pattern index.
+
+    Reach is counted term at a time over `PatternKB.postings` (Turtle &
+    Flood, "Query evaluation: strategies and optimizations", IPM 31, 1995),
+    one count per pattern position, plus the pattern's placeholder when the
+    requirement holds a number.  The bound is fuse(reach / len,
+    _SEM_CEILING, cfg) in the same float operations, in the same order.
+    """
+    postings = kb.postings
+    words = {t.normalized for t in req.tokens}
+    reach = Counter(chain.from_iterable(postings.get(t, ()) for t in words))
+    number = any(t.is_number for t in req.tokens)
+    lengths, flags = kb.lengths, kb.placeholder_flags
+    w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
+    return {i: w * ((r + number * flags[i]) / lengths[i]) + c for i, r in reach.items()}
+
+
 def select(
     kb: PatternKB,
     store: VectorStore,
@@ -254,7 +274,7 @@ def select(
     pattern index, making selection deterministic.
 
     Only patterns sharing a word token with the requirement are candidates
-    (`PatternKB.token_index`): a pattern holds at most one placeholder, so
+    (`PatternKB.postings`): a pattern holds at most one placeholder, so
     any other pattern's LCS is empty or the placeholder alone.
 
     Candidates are scored best first, by an upper bound on their fused
@@ -269,31 +289,21 @@ def select(
     the span penalty is a factor of at most 1 and rounding is monotone, and
     a cosine exceeds 1.0 by a few ulps at most, so the bound
     fuse(reach / len, _SEM_CEILING) holds in floating point for any w in
-    [0, 1].  Candidates are visited in descending bound, then ascending
-    index, and the visit stops at the first bound strictly below the best
-    fused score so far: a candidate whose bound equals it could still tie
-    on fused and win on the tie-break.
+    [0, 1]; `_bounds` computes it.  Candidates are visited in descending
+    bound, then ascending index, and the visit stops at the first bound
+    strictly below the best fused score so far: a candidate whose bound
+    equals it could still tie on fused and win on the tie-break.
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
     cfg = cfg or MatcherConfig()
 
-    index_of = kb.token_index
-    words = {t.normalized for t in req.tokens}
-    candidates = {i for t in words for i in index_of.get(t, ())}
-    if any(t.is_number for t in req.tokens):
-        words.add(PLACEHOLDER)
-    ranked = []
-    for index in candidates:
-        tokens = kb.patterns[index].tokens
-        reach = sum(t in words for t in tokens)
-        ranked.append((-fuse(reach / len(tokens), _SEM_CEILING, cfg), index))
-    ranked.sort()
-
+    bound = _bounds(kb, req, cfg)
     best = None
     best_key = None
-    for neg_bound, index in ranked:
-        if best_key is not None and -neg_bound < best_key[0]:
+    # a stable sort: descending bound, ties by ascending index
+    for index in sorted(sorted(bound), key=bound.__getitem__, reverse=True):
+        if best_key is not None and bound[index] < best_key[0]:
             break
         pattern = kb.patterns[index]
         result = lcs(pattern, req)

@@ -96,18 +96,28 @@ class PatternKB:
         return cls(tuple(unique), frozenset(w.lower() for w in negations))
 
     @cached_property
-    def token_index(self) -> dict[str, list[int]]:
-        """Word token -> ascending indices of the patterns holding it.
+    def postings(self) -> dict[str, tuple[int, ...]]:
+        """Word token -> the indices of the patterns holding it, ascending,
+        one entry per position: a pattern repeating a word is listed twice.
 
         The placeholder is left out: it is the only token a pattern may
         match without sharing a word with the requirement.
         """
         index: dict[str, list[int]] = {}
         for i, pattern in enumerate(self.patterns):
-            for token in dict.fromkeys(pattern.tokens):
+            for token in pattern.tokens:
                 if token != PLACEHOLDER:
                     index.setdefault(token, []).append(i)
-        return index
+        return {token: tuple(indices) for token, indices in index.items()}
+
+    @cached_property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(len(p) for p in self.patterns)
+
+    @cached_property
+    def placeholder_flags(self) -> tuple[int, ...]:
+        """1 for each pattern holding the placeholder, else 0."""
+        return tuple(int(p.has_placeholder) for p in self.patterns)
 
     def __len__(self) -> int:
         return len(self.patterns)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
 from .embeddings import VectorStore
-from .errors import InconsistentDirections, NoMatch, PatternParseError
+from .errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch, PatternParseError
 from .matching import MatcherConfig, MatchResult, select
 from .patterns import PatternKB
 from .satisfaction import (
@@ -141,7 +142,10 @@ def _resolve_bounds(
         return request.bounds
     betas = [p.v_beta for p in matched if p.v_beta is not None]
     if betas and max(betas) > 0:
-        return (0.0, 2.0 * max(betas))
+        hi = 2.0 * max(betas)
+        if not math.isfinite(hi):
+            raise ExpectationOutOfBounds(f"expectation {max(betas)} is too large to derive bounds")
+        return (0.0, hi)
     warnings.append("no usable expectation point; defaulting bounds to (0, 1)")
     return (0.0, 1.0)
 

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 
 from .errors import EmptyInput
 
-NUMBER_RE = re.compile(r"^\d{1,3}(?:,\d{3})+(?:\.\d+)?$|^\d+(?:\.\d+)?$")
+NUMBER_RE = re.compile(r"^(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?$")
 
-# a number run together with a unit ("15ms", "2s"): a numeric head and a
-# tail of letters; ordinal suffixes ("1st", "4th") are not units
-_UNIT_SUFFIXED_RE = re.compile(r"(\d[\d,.]*)([^\W\d_]+)")
+# a number run together with a unit ("15ms", "2s", "1e3ms"): a numeric head
+# and a tail of letters; ordinal suffixes ("1st", "4th") are not units
+_UNIT_SUFFIXED_RE = re.compile(r"(\d[\d,.]*(?:[eE][+-]?\d+)?)([^\W\d_]+)")
 _ORDINAL_SUFFIXES = frozenset({"st", "nd", "rd", "th"})
 
 # connectives that may join two expectation clauses, and the modal verbs
@@ -71,9 +71,10 @@ def _token(surface: str, word: str, position: int) -> Token:
 def tokenize(text: str) -> TokenizedRequirement:
     """Split on whitespace, strip surrounding punctuation, recognize numbers.
 
-    Thousands separators and decimals are parsed ("1,000" -> 1000.0), and
-    a sign directly before the digits sets the value's sign ("-5" -> -5.0)
-    while the normalized form stays unsigned ("5").  A number directly
+    Thousands separators, decimals and an exponent are parsed ("1,000" ->
+    1000.0, "1e3" -> 1000.0), and a sign directly before the digits sets
+    the value's sign ("-5" -> -5.0) while the normalized form stays
+    unsigned ("5").  A number directly
     followed by letters becomes two tokens, the number and the lowercased
     letters ("15ms" -> "15", "ms"), unless the letters are an ordinal
     suffix.  A token consisting only of punctuation (a lone ";" or ",")

@@ -78,9 +78,9 @@ class TestClassify:
         )
         assert code == 0
         lines = stdout.strip().splitlines()
-        assert lines[0] == "line_no\tleft\tright\tv_beta\tfused\tpattern"
-        assert lines[1].startswith("1\tG\tE\t200\t")
-        assert lines[2].startswith("2\tS\tE\t100\t")
+        assert lines[0] == "line_no\tpart\tleft\tright\tv_beta\tfused\tpattern"
+        assert lines[1].startswith("1\t1\tG\tE\t200\t")
+        assert lines[2].startswith("2\t1\tS\tE\t100\t")
         assert lines[1].endswith("more than <N>")
 
     def test_nomatch_row_format(self, capsys, tmp_path):
@@ -91,7 +91,25 @@ class TestClassify:
             ["classify", "--patterns", self._kb(tmp_path), "--vectors", VECTORS, "--input", str(inp)],
         )
         assert code == 0
-        assert stdout.strip().splitlines()[1] == "1\tNA\tNA\tNA\t0.0\t-"
+        assert stdout.strip().splitlines()[1] == "1\t1\tNA\tNA\tNA\t0.0\t-"
+
+    def test_two_expectation_points_give_one_row_per_part(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text(
+            "The system should respond in 5 seconds and ideally less than 2 seconds\n"
+            "The page shall load quickly\n",
+            encoding="utf-8",
+        )
+        code, stdout, _ = run(
+            capsys, ["classify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in stdout.strip().splitlines()[1:]]
+        assert [row[:5] for row in rows] == [
+            ["1", "1", "E", "S", "5"],
+            ["1", "2", "E", "S", "2"],
+            ["2", "1", "NA", "NA", "NA"],
+        ]
 
     def test_empty_input_header_only(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"
@@ -101,7 +119,7 @@ class TestClassify:
             ["classify", "--patterns", self._kb(tmp_path), "--vectors", VECTORS, "--input", str(inp)],
         )
         assert code == 0
-        assert stdout.strip() == "line_no\tleft\tright\tv_beta\tfused\tpattern"
+        assert stdout.strip() == "line_no\tpart\tleft\tright\tv_beta\tfused\tpattern"
 
     def test_load_failure_exits_2(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"

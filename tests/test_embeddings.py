@@ -1,12 +1,23 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from perfquant import VectorStore, cosine, load_vectors, sentence_vector
+from perfquant import (
+    ClassLabel,
+    Pattern,
+    PatternKB,
+    VectorStore,
+    cosine,
+    load_vectors,
+    select,
+    sentence_vector,
+)
 from perfquant.data import VECTORS_FILE, path as data_path
 from perfquant.errors import DimensionMismatch, VectorFormatError
+from perfquant.text import tokenize
 
 
 class TestLoadVectors:
@@ -49,6 +60,12 @@ class TestLoadVectors:
         with pytest.raises(VectorFormatError, match="line 3"):
             load_vectors(f)
 
+    def test_overflowing_squared_norm(self, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("2 2\na 1 0\nb 1e200 1e200\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="line 3"):
+            load_vectors(f)
+
     def test_bundled_store(self, mini_store):
         assert mini_store.dimension == 50
         assert 250 <= len(mini_store) <= 400
@@ -65,6 +82,26 @@ class TestVectorStore:
         entries = {"respond": np.zeros(3), "within": np.array([1.0, component, 0.0])}
         with pytest.raises(VectorFormatError, match="within"):
             VectorStore(3, entries)
+
+    def test_overflowing_squared_norm(self):
+        entries = {"respond": np.ones(3), "within": np.full(3, 1e200)}
+        with pytest.raises(VectorFormatError, match="within"):
+            VectorStore(3, entries)
+
+    def test_largest_accepted_scale_scores_finitely(self):
+        # each squared norm just below the largest float
+        scale = math.sqrt(sys.float_info.max / 3) * 0.999
+        entries = {
+            "respond": np.array([scale, scale, -scale]),
+            "within": np.array([scale, -scale, scale]),
+            "number": np.array([-scale, scale, scale]),
+        }
+        store = VectorStore(3, entries)
+        label = ClassLabel.from_codes("E", "S")
+        kb = PatternKB.build([Pattern(("respond", "quickly", "within", "<N>"), label)])
+        match = select(kb, store, tokenize("respond within 5 seconds"))
+        assert math.isfinite(match.sem) and -1.0 <= match.sem <= 1.0 + 1e-9
+        assert math.isfinite(match.fused)
 
     @pytest.mark.parametrize("vec", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.float64(1.0)])
     def test_wrong_shape(self, vec):

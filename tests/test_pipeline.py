@@ -212,6 +212,24 @@ def test_unit_suffixed_number_quantifies_like_a_spaced_one(suffixed, spaced, min
     assert [p[1:] for p in got.parts] == [p[1:] for p in want.parts]
 
 
+def test_exponent_notation_sets_the_expectation_and_default_bounds(mini_store, bundled_kb):
+    result = quantify(
+        QuantificationRequest(text="The system shall respond within 1e3 ms"), bundled_kb, mini_store
+    )
+    assert [v_beta for _, _, v_beta, _ in result.parts] == [1000.0]
+    assert result.function.bounds == (0.0, 2000.0)
+
+
+@pytest.mark.parametrize("number", ["1e308", "1e400"])
+def test_expectation_too_large_for_default_bounds_raises(number, mini_store, bundled_kb):
+    with pytest.raises(ExpectationOutOfBounds):
+        quantify(
+            QuantificationRequest(text=f"The system shall respond within {number} ms"),
+            bundled_kb,
+            mini_store,
+        )
+
+
 @pytest.mark.parametrize("bounds", [(0, float("inf")), (float("-inf"), 1), (0, float("nan"))])
 def test_request_rejects_non_finite_bounds(bounds):
     with pytest.raises(ValueError, match="finite"):

@@ -37,7 +37,7 @@ class TestTokenize:
     @pytest.mark.parametrize(
         "chunk, value, unit",
         [("15ms", 15.0, "ms"), ("2S", 2.0, "s"), ("(-2.5sec),", -2.5, "sec"),
-         ("1,000rps", 1000.0, "rps")],
+         ("1,000rps", 1000.0, "rps"), ("1e3ms", 1000.0, "ms")],
     )
     def test_unit_suffixed_number_becomes_two_tokens(self, chunk, value, unit):
         req = tokenize(f"under {chunk} always")
@@ -48,7 +48,16 @@ class TestTokenize:
         assert [t.position for t in req.tokens] == [0, 1, 2, 3]
         assert tokenize(" ".join(t.surface for t in req.tokens)).tokens == req.tokens
 
-    @pytest.mark.parametrize("chunk", ["1st", "22nd", "3RD", "4th", "1e3", "15.ms", "a15ms"])
+    @pytest.mark.parametrize(
+        "chunk, value",
+        [("1e3", 1000.0), ("2.5E-3", 0.0025), ("1,000e+2", 100000.0), ("-1e3", -1000.0)],
+    )
+    def test_exponent_notation_is_a_number(self, chunk, value):
+        token = tokenize(f"respond within {chunk} ms").tokens[2]
+        assert token.is_number and token.numeric_value == value
+        assert token.normalized == chunk.lstrip("-").lower()
+
+    @pytest.mark.parametrize("chunk", ["1st", "22nd", "3RD", "4th", "1e3.5", "15.ms", "a15ms"])
     def test_ordinals_and_other_forms_stay_one_non_number(self, chunk):
         req = tokenize(f"the {chunk} run")
         assert len(req.tokens) == 3
