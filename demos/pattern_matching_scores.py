@@ -35,7 +35,7 @@ for pattern in candidates:
           f" at positions {result.matched_positions}")
     print(f"  coverage {syn_raw:.3f}, span-penalized {syn:.3f}, semantic {sem:.3f}\n")
 
-kb = PatternKB.build(candidates, negations=["no", "not"])
+kb = PatternKB.build(candidates)
 winner = select(kb, store, requirement, MatcherConfig(w=0.7))
 print(f"fused winner at w=0.7: {winner.pattern.text!r}"
       f" -> {winner.label} with expectation {winner.v_beta:g}")
@@ -43,7 +43,6 @@ print(f"fused winner at w=0.7: {winner.pattern.text!r}"
 print("\nNegation flips the preference when the negator is outside the match:")
 kb2 = PatternKB.build(
     [Pattern(("more", "than", "<N>"), ClassLabel.from_codes("G", "E"))],
-    negations=["no", "not"],
 )
 for text in (
     "the throughput shall be more than 200 users",

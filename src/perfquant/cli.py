@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patterns", required=True, help="pattern TSV")
         p.add_argument("--vectors", required=True, help="word2vec text file")
         p.add_argument("--input", required=True, help="one requirement per line")
-        p.add_argument("--w", type=float, default=0.7, help="syntax weight in [0,1]")
+        p.add_argument("--w", type=float, default=MatcherConfig.w, help="syntax weight in [0,1]")
 
     p_classify = sub.add_parser("classify", help="classify requirements to label codes")
     add_match_args(p_classify)
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--seed", type=int, default=1)
     p_eval.add_argument("--test-dataset", default=None, help="evaluate on this CSV instead of the held-out remainder")
     p_eval.add_argument("--json", default=None, help="also write the report as JSON")
-    p_eval.add_argument("--w", type=float, default=0.7)
+    p_eval.add_argument("--w", type=float, default=MatcherConfig.w)
     p_eval.set_defaults(func=run_eval)
 
     return parser

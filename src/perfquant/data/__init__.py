@@ -6,7 +6,6 @@ from importlib import resources
 from pathlib import Path
 
 PATTERNS_FILE = "patterns.tsv"
-NEGATIONS_FILE = "negation_words.txt"
 DIRECTIONS_FILE = "direction_words.tsv"
 VECTORS_FILE = "mini_vectors.txt"
 MINI_CORPUS_FILE = "mini_corpus.csv"
@@ -19,12 +18,6 @@ def path(name: str) -> Path:
     if not p.exists():
         raise FileNotFoundError(f"bundled data file missing: {name}")
     return p
-
-
-def default_negations() -> list[str]:
-    from ..patterns import load_wordlist
-
-    return load_wordlist(path(NEGATIONS_FILE))
 
 
 def default_kb():

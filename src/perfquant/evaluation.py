@@ -7,9 +7,8 @@ import math
 import os
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .data import default_negations
 from .embeddings import VectorStore
 from .errors import (
     DatasetParseError,
@@ -58,8 +57,8 @@ class MetricsReport:
 @dataclass
 class BootstrapResult:
     reports: list[MetricsReport]
-    mean: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    sd: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    mean: tuple[float, float, float] = field(init=False)
+    sd: tuple[float, float, float] = field(init=False)
     train_size: int = 0
 
     def __post_init__(self) -> None:
@@ -164,9 +163,8 @@ def extract_patterns(rows: list[LabeledRequirement]) -> list[Pattern]:
 def build_kb(
     rows: list[LabeledRequirement], base_patterns: tuple[Pattern, ...] = ()
 ) -> PatternKB:
-    """The base patterns plus those extracted from the rows, with the
-    bundled negation lexicon."""
-    return PatternKB.build([*base_patterns, *extract_patterns(rows)], default_negations())
+    """The base patterns plus those extracted from the rows."""
+    return PatternKB.build([*base_patterns, *extract_patterns(rows)])
 
 
 def predict_label(

@@ -16,6 +16,14 @@ from .text import DEFAULT_PREFIX_VERBS, TokenizedRequirement
 # only of these (and no bound number) is noise
 _FUNCTION_WORDS = frozenset(STOPWORDS | {*DEFAULT_PREFIX_VERBS, "may"})
 
+# words that reverse a requirement's preference when they fall outside the
+# LCS (`apply_negation`)
+NEGATIONS = frozenset({
+    "not", "no", "neither", "nor", "never", "without", "cannot", "can't",
+    "don't", "doesn't", "won't", "isn't", "aren't", "shouldn't", "mustn't",
+    "nothing", "none",
+})
+
 # a cosine of finite vectors exceeds 1.0 by a few ulps at most; `select`
 # bounds the semantic score by this
 _SEM_CEILING = 1.0 + 1e-9
@@ -212,34 +220,26 @@ def fuse(syn: float, sem: float, cfg: MatcherConfig) -> float:
 
 
 def apply_negation(
-    kb: PatternKB,
-    req: TokenizedRequirement,
-    result: LcsResult,
-    label: ClassLabel,
-    pattern: Pattern | None = None,
+    req: TokenizedRequirement, result: LcsResult, pattern: Pattern
 ) -> ClassLabel:
-    """Reverse Smaller/Greater on a polarity mismatch around the LCS.
+    """`pattern.label`, with Smaller/Greater reversed on a polarity mismatch.
 
-    A negation word in the requirement outside the matched subsequence
-    flips the label.  When the winning pattern itself carries an unmatched
-    negator (its label already encodes the negated reading), the two
-    negations cancel; a negative pattern matched against an un-negated
-    requirement flips back.
+    A word of `NEGATIONS` in the requirement outside the LCS flips the
+    label.  When the winning pattern itself carries an unmatched negator
+    (its label already encodes the negated reading), the two negations
+    cancel; a negative pattern matched against an un-negated requirement
+    flips back.
     """
     matched_positions = set(result.matched_positions)
     req_negated = any(
-        tok.normalized in kb.negations and tok.position not in matched_positions
+        tok.normalized in NEGATIONS and tok.position not in matched_positions
         for tok in req.tokens
     )
-    pattern_negated = False
-    if pattern is not None:
-        matched_words = set(result.matched_tokens)
-        pattern_negated = any(
-            t in kb.negations and t not in matched_words for t in pattern.tokens
-        )
+    matched_words = set(result.matched_tokens)
+    pattern_negated = any(t in NEGATIONS and t not in matched_words for t in pattern.tokens)
     if req_negated != pattern_negated:
-        return label.swap_preferences()
-    return label
+        return pattern.label.swap_preferences()
+    return pattern.label
 
 
 def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dict[int, float]:
@@ -328,7 +328,7 @@ def select(
         return None
 
     index, pattern, result, syn_raw, syn, sem, fused = best
-    label = apply_negation(kb, req, result, pattern.label, pattern)
+    label = apply_negation(req, result, pattern)
     return MatchResult(
         pattern_index=index,
         pattern=pattern,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import NoExtractableSpan, PatternParseError, UnknownLabelCode
@@ -17,13 +17,13 @@ LABEL_CODES = frozenset("GSE")
 # seed lexicon of complement words that introduce an expectation point;
 # negators are included so strict forms like "no more than" extract as
 # whole patterns with the negation inside
-DEFAULT_COMPLEMENTS = (
+DEFAULT_COMPLEMENTS = frozenset({
     "in", "under", "at", "least", "most", "more", "less", "than", "within",
     "every", "no", "up", "to", "be", "capable", "of", "supporting",
     "not", "never", "exceed", "exceeds", "exceeding", "beyond", "above",
     "below", "over", "once", "exactly", "away", "from", "hard", "limit",
     "maximum", "minimum", "handling", "handle",
-)
+})
 
 # modal/verb anchors for requirements without a numeric expectation
 EXTRACT_VERBS = frozenset({"shall", "should", "must", "be"})
@@ -77,13 +77,12 @@ class Pattern:
 
 @dataclass(frozen=True)
 class PatternKB:
-    """Immutable pattern list plus the negation lexicon."""
+    """Immutable pattern list."""
 
     patterns: tuple[Pattern, ...]
-    negations: frozenset[str] = field(default_factory=frozenset)
 
     @classmethod
-    def build(cls, patterns, negations=()) -> "PatternKB":
+    def build(cls, patterns) -> "PatternKB":
         """Deduplicate (tokens, label) pairs keeping the first occurrence."""
         seen = set()
         unique = []
@@ -93,7 +92,7 @@ class PatternKB:
                 continue
             seen.add(key)
             unique.append(p)
-        return cls(tuple(unique), frozenset(w.lower() for w in negations))
+        return cls(tuple(unique))
 
     @cached_property
     def postings(self) -> dict[str, tuple[int, ...]]:
@@ -123,18 +122,6 @@ class PatternKB:
         return len(self.patterns)
 
 
-def load_wordlist(path: str | os.PathLike) -> list[str]:
-    """One lowercase entry per line; '#' comments and blank lines skipped."""
-    words = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            words.append(entry.lower())
-    return words
-
-
 def _parse_pattern_line(line: str, where: str) -> Pattern:
     fields = line.split("\t")
     if len(fields) != 3:
@@ -153,10 +140,8 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
         raise PatternParseError(f"{where}: {exc}") from exc
 
 
-def load_patterns(
-    path: str | os.PathLike, negations: list[str] | None = None
-) -> PatternKB:
-    """Load a pattern TSV; negations default to the bundled lexicon."""
+def load_patterns(path: str | os.PathLike) -> PatternKB:
+    """Load a pattern TSV."""
     patterns = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -164,11 +149,7 @@ def load_patterns(
             if not entry.strip() or entry.lstrip().startswith("#"):
                 continue
             patterns.append(_parse_pattern_line(entry, f"{path}:{lineno}"))
-    if negations is None:
-        from .data import default_negations
-
-        negations = default_negations()
-    return PatternKB.build(patterns, negations)
+    return PatternKB.build(patterns)
 
 
 def format_patterns(kb: PatternKB) -> str:
@@ -182,26 +163,22 @@ def save_patterns(kb: PatternKB, path: str | os.PathLike) -> None:
 
 
 def extract_pattern(
-    req: TokenizedRequirement,
-    label: ClassLabel,
-    complements: tuple[str, ...] = DEFAULT_COMPLEMENTS,
-    source_id: str | None = None,
+    req: TokenizedRequirement, label: ClassLabel, source_id: str | None = None
 ) -> Pattern:
     """Heuristic pattern extraction from a labeled requirement.
 
     For the earliest numeric token preceded by a contiguous run of
-    complement words, the run plus the number (as the placeholder) becomes
-    the pattern.  Without a reachable number, the span from the last
+    `DEFAULT_COMPLEMENTS` words, the run plus the number (as the
+    placeholder) becomes the pattern.  Without a reachable number, the span from the last
     modal/verb anchor to the last non-stopword is used instead.
     """
-    comp = set(complements)
     tokens = req.tokens
 
     for tok in tokens:
         if not tok.is_number:
             continue
         start = tok.position
-        while start - 1 >= 0 and tokens[start - 1].normalized in comp:
+        while start - 1 >= 0 and tokens[start - 1].normalized in DEFAULT_COMPLEMENTS:
             start -= 1
         if start < tok.position:
             words = [t.normalized for t in tokens[start : tok.position]]

@@ -155,13 +155,11 @@ def quantify(
     kb: PatternKB,
     store: VectorStore,
     cfg: MatcherConfig | None = None,
-    direction_words: dict[str, MetricDirection] | None = None,
 ) -> QuantificationResult:
     """Classify a requirement and compile its satisfaction function."""
-    if direction_words is None:
-        from .data import default_directions
+    from .data import default_directions
 
-        direction_words = default_directions()
+    direction_words = default_directions()
 
     warnings: list[str] = []
     parts = classify(request.text, kb, store, cfg)

@@ -256,12 +256,14 @@ def resolve_intervals(a: Fragment, b: Fragment) -> tuple[Fragment, Fragment]:
 
 
 def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
-    """The metric bounds (lo, hi), checked to be finite with lo < hi."""
+    """The metric bounds (lo, hi), checked to be finite with lo < hi and hi - lo finite."""
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"bounds width hi - lo must be finite, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -351,7 +353,10 @@ def combine(
 
 
 def evaluate(fn: SatisfactionFunction, v: float) -> float:
-    """Score a measured value; clamps outside the bounds, right segment wins at knots."""
+    """Score a measured value; clamps outside the bounds, right segment wins at knots.
+
+    NaN raises ValueError.
+    """
     lo, hi = fn.bounds
     if v <= lo:
         return fn.segments[0].s_lo
@@ -360,4 +365,6 @@ def evaluate(fn: SatisfactionFunction, v: float) -> float:
     for seg in fn.segments:
         if v < seg.v_hi:
             return seg.value_at(v)
-    return fn.segments[-1].s_hi
+    # the last segment ends at hi, so only NaN, which fails every
+    # comparison, gets here
+    raise ValueError(f"cannot score {v!r}: not a number")

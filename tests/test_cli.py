@@ -233,6 +233,20 @@ class TestQuantify:
         assert stdout == ""
         assert "finite" in stderr
 
+    def test_overflowing_bounds_width_exit_2_before_output(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should response in 2 seconds\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds=-1e308,1e308", "--samples", "4",
+            ],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "width" in stderr
+
 
 class TestEval:
     def test_bootstrap_smoke_and_determinism(self, capsys):

@@ -29,7 +29,7 @@ from perfquant import (
     syntactic_score,
 )
 from perfquant import evaluation, matching
-from perfquant.data import HOLDOUT_FILE, MINI_CORPUS_FILE, default_negations
+from perfquant.data import HOLDOUT_FILE, MINI_CORPUS_FILE
 from perfquant.data import path as data_path
 from perfquant.evaluation import load_dataset
 from perfquant.matching import _FUNCTION_WORDS, _SEM_CEILING, fuse
@@ -238,7 +238,7 @@ def exhaustive_select(kb, store, req, cfg=MatcherConfig()):
     )
     if best is None:
         return None
-    label = apply_negation(kb, req, best.lcs, best.pattern.label, best.pattern)
+    label = apply_negation(req, best.lcs, best.pattern)
     return dataclasses.replace(best, label=label)
 
 
@@ -264,7 +264,7 @@ def test_pruned_select_equals_exhaustive_on_a_large_base(
     """select scores only patterns sharing a word with the part, in
     descending bound, skips only those that cannot win, and picks what
     scoring every pattern picks."""
-    kb = PatternKB.build(big_patterns, default_negations())
+    kb = PatternKB.build(big_patterns)
     assert len(kb) > 950
     visited = []
 
@@ -292,7 +292,7 @@ def test_every_score_is_within_its_bound(big_patterns, request_parts, mini_store
     """On the large base, for several weights, no competing pattern's LCS
     outruns its reach, its cosine the semantic ceiling, or its fused score
     its bound.  Some cosines do exceed 1.0."""
-    kb = PatternKB.build(big_patterns, default_negations())
+    kb = PatternKB.build(big_patterns)
     configs = [MatcherConfig(w) for w in (0.0, 0.3, 0.7, 1.0)]
     checked, top_sem = 0, 0.0
     for part in request_parts:
@@ -325,7 +325,7 @@ def small_base_and_part(draw):
         for label in draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3)):
             patterns.append(Pattern(tuple(tokens), label))
     words = draw(st.lists(st.sampled_from(REQUEST_WORDS), min_size=1, max_size=14))
-    return PatternKB.build(patterns, ("not", "no")), tokenize(" ".join(words))
+    return PatternKB.build(patterns), tokenize(" ".join(words))
 
 
 @settings(max_examples=300, deadline=None)
@@ -344,12 +344,12 @@ def test_select_equals_exhaustive_on_small_bases(mini_store, case, w):
 def assert_order_independent(patterns, parts, store, seeds=(1, 2, 3)):
     """The winner's (fused, syn, len) does not depend on the order of the
     base, nor do its tokens and label when no other pattern shares that key."""
-    kb = PatternKB.build(patterns, default_negations())
+    kb = PatternKB.build(patterns)
     shuffled = []
     for seed in seeds:
         order = list(patterns)
         random.Random(seed).shuffle(order)
-        shuffled.append(PatternKB.build(order, default_negations()))
+        shuffled.append(PatternKB.build(order))
     matched = 0
     for part in parts:
         want = select(kb, store, part)
@@ -418,7 +418,7 @@ def test_dropped_bases_free_their_caches(big_patterns, request_parts, mini_store
     def churn(rounds):
         for _ in range(rounds):
             fresh = [Pattern(p.tokens, p.label) for p in rng.sample(big_patterns, 80)]
-            kb = PatternKB.build(fresh, default_negations())
+            kb = PatternKB.build(fresh)
             for part in parts:
                 select(kb, mini_store, part)
 

@@ -30,7 +30,6 @@ def example_kb():
             pattern("ideally less than <N>", "ES"),
             pattern("be fast", "SS"),
         ],
-        negations=["no", "not", "never"],
     )
 
 

@@ -36,7 +36,7 @@ def patterns(draw):
 
 @st.composite
 def base_and_part(draw):
-    kb = PatternKB.build(draw(patterns()), ("not", "no"))
+    kb = PatternKB.build(draw(patterns()))
     words = draw(st.lists(st.sampled_from(WORDS + FOREIGN[:3]), min_size=1, max_size=12))
     if draw(st.booleans()):
         words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(FOREIGN[3:])))

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from perfquant import (
     ALL_LABELS,
@@ -113,7 +115,8 @@ class TestCompileSingle:
             compile_single(label("SS"), None, (10, 10), MIN)
 
     @pytest.mark.parametrize(
-        "bounds", [(0, math.inf), (-math.inf, 10), (0, math.nan), (math.nan, 10)]
+        "bounds",
+        [(0, math.inf), (-math.inf, 10), (0, math.nan), (math.nan, 10), (-1e308, 1e308)],
     )
     def test_non_finite_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="finite"):
@@ -215,6 +218,11 @@ class TestEvaluate:
         assert evaluate(fn, -5) == 1.0
         assert evaluate(fn, 99) == 0.0
 
+    def test_nan_raises(self):
+        fn = compile_single(label("ES"), 15, (0, 30), MIN)
+        with pytest.raises(ValueError, match="nan"):
+            evaluate(fn, math.nan)
+
     def test_scores_bounded_and_shaped(self):
         # per-segment: flat for E, non-increasing for S, non-decreasing for G
         directions = (MIN, MAX)
@@ -234,6 +242,65 @@ class TestEvaluate:
                     assert all(b <= a + 1e-12 for a, b in pairs)
                 else:
                     assert all(b >= a - 1e-12 for a, b in pairs)
+
+
+# the whole finite range, weighted toward the largest magnitudes, where a
+# width hi - lo can overflow
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e307, allow_infinity=False),
+    st.floats(max_value=-1e307, allow_infinity=False),
+)
+
+
+@st.composite
+def compile_inputs(draw):
+    """Label, expectation point, bounds and direction for `compile_single`.
+
+    The bounds come from the whole finite range, so their width can
+    overflow; the expectation point lies inside them, and is left out of
+    a symmetric label half the time.
+    """
+    lab = draw(st.sampled_from(ALL_LABELS))
+    lo, hi = sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=True)))
+    v_beta = None
+    if not lab.symmetric or draw(st.booleans()):
+        v_beta = draw(st.floats(min_value=lo, max_value=hi))
+    return lab, v_beta, (lo, hi), draw(st.sampled_from(list(MetricDirection)))
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(compile_inputs(), st.data())
+    def test_score_in_unit_interval(self, inputs, data):
+        lab, v_beta, (lo, hi), direction = inputs
+        if not math.isfinite(hi - lo):
+            with pytest.raises(ValueError, match="width"):
+                compile_single(lab, v_beta, (lo, hi), direction)
+            return
+        fn = compile_single(lab, v_beta, (lo, hi), direction)
+        inside = data.draw(st.floats(min_value=lo, max_value=hi))
+        for v in (data.draw(FINITE), inside, lo, hi, *(seg.v_lo for seg in fn.segments)):
+            assert 0.0 <= fn(v) <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(compile_inputs())
+    def test_segments_tile_the_bounds(self, inputs):
+        lab, v_beta, (lo, hi), direction = inputs
+        assume(math.isfinite(hi - lo))
+        segments = compile_single(lab, v_beta, (lo, hi), direction).segments
+        assert segments[0].v_lo == lo and segments[-1].v_hi == hi
+        assert all(a.v_hi == b.v_lo for a, b in zip(segments, segments[1:]))
+        assert all(seg.v_lo < seg.v_hi for seg in segments)
+
+    @settings(max_examples=300, deadline=None)
+    @given(compile_inputs())
+    def test_combine_of_one_part_is_compile_single(self, inputs):
+        lab, v_beta, bounds, direction = inputs
+        assume(v_beta is not None and math.isfinite(bounds[1] - bounds[0]))
+        assert combine([(lab, v_beta)], bounds, direction) == compile_single(
+            lab, v_beta, bounds, direction
+        )
 
 
 class TestSerialization:
