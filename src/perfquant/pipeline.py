@@ -173,24 +173,18 @@ def quantify(
     direction = _resolve_direction(request, matched, direction_words, warnings)
     bounds = _resolve_bounds(request, matched, warnings)
 
-    if len(matched) == 2:
-        with_beta = [p for p in matched if p.v_beta is not None]
-        if len(with_beta) == 2:
-            function = combine(
-                [(p.label, p.v_beta) for p in with_beta], bounds, direction
-            )
-        else:
-            kept = with_beta[0] if with_beta else matched[0]
-            for p in matched:
-                if p is not kept:
-                    warnings.append(
-                        f"part {p.text!r} lacks an expectation point; quantified without it"
-                    )
-            function = compile_single(kept.label, kept.v_beta, bounds, direction)
-            matched = [kept]
+    with_beta = [p for p in matched if p.v_beta is not None]
+    if len(with_beta) == 2:
+        function = combine([(p.label, p.v_beta) for p in with_beta], bounds, direction)
     else:
-        part = matched[0]
-        function = compile_single(part.label, part.v_beta, bounds, direction)
+        kept = with_beta[0] if with_beta else matched[0]
+        for p in matched:
+            if p is not kept:
+                warnings.append(
+                    f"part {p.text!r} lacks an expectation point; quantified without it"
+                )
+        function = compile_single(kept.label, kept.v_beta, bounds, direction)
+        matched = [kept]
 
     outcome = [
         (p.text, p.label, p.v_beta, p.match.fused if p.match else 0.0) for p in matched

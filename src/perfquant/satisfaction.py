@@ -32,11 +32,6 @@ class FragmentKind(Enum):
     SMALLER = "S"
     EQUAL = "E"
 
-    @property
-    def distinguishable(self) -> bool:
-        """Greater/Smaller carry a slope; Equal is flat."""
-        return self is not FragmentKind.EQUAL
-
     @classmethod
     def from_code(cls, code: str) -> "FragmentKind":
         return cls(code.strip().upper())
@@ -97,13 +92,6 @@ class Fragment:
                 raise ValueError(f"satisfaction score {s} outside [0, 1]")
         if self.kind is FragmentKind.EQUAL and self.s_lo != self.s_hi:
             raise ValueError("indifferent fragment must have a constant score")
-
-    @property
-    def width(self) -> float:
-        return self.v_hi - self.v_lo
-
-    def same_interval(self, other: "Fragment") -> bool:
-        return self.v_lo == other.v_lo and self.v_hi == other.v_hi
 
     def value_at(self, v: float) -> float:
         if self.v_hi == self.v_lo:
@@ -168,72 +156,47 @@ def set_scores(
 ) -> list[tuple[float, float]]:
     """Assign endpoint scores to an ordered fragment-kind sequence.
 
-    The sequence is partitioned into maximal series.  A run of two or more
-    consecutive indifferent fragments forms its own series where each score
-    alternates as 1 - previous.  Everything else groups into monotonic
-    series (sloped fragments of one kind, with single indifferent fragments
-    interleaved holding the current score); within such a series the score
-    points step by 1/d where d is the number of sloped fragments, downward
-    for Smaller and upward for Greater.  Steps are clamped to [0, 1].
+    The first pass splits the sequence into series and counts the sloped
+    (Greater or Smaller) fragments of each.  A series ends where the slope
+    changes or where two indifferent fragments follow each other.  The
+    second pass walks the sequence once: a sloped fragment moves the score
+    by 1/d, where d is its series' count, upward for Greater and downward
+    for Smaller, clamped to [0, 1]; an indifferent fragment holds the
+    score, except that one directly after another indifferent fragment
+    flips it to 1 - score.
     """
     if not kinds:
         raise ValueError("empty fragment sequence")
+    equal, greater = FragmentKind.EQUAL, FragmentKind.GREATER
 
+    counts: list[int] = []
+    slope = previous = None
+    for kind in kinds:
+        if kind is equal:
+            if previous is equal:
+                slope = None
+        else:
+            if kind is not slope:
+                slope = kind
+                counts.append(0)
+            counts[-1] += 1
+        previous = kind
+
+    series_counts = iter([d for d in counts for _ in range(d)])
     current = _initial_score(kinds[0], direction)
     scores: list[tuple[float, float]] = []
-    n = len(kinds)
-    i = 0
-    while i < n:
-        if kinds[i] is FragmentKind.EQUAL:
-            j = i
-            while j < n and kinds[j] is FragmentKind.EQUAL:
-                j += 1
-            run = j - i
-            if run >= 2:
-                # pure indifferent series: first holds, the rest alternate
-                scores.append((current, current))
-                for _ in range(run - 1):
-                    current = 1.0 - current
-                    scores.append((current, current))
-                i = j
-                continue
-            # single indifferent fragment: holds the current score point
+    previous = None
+    for kind in kinds:
+        if kind is equal:
+            if previous is equal:
+                current = 1.0 - current
             scores.append((current, current))
-            i += 1
-            continue
-
-        # monotonic series: collect sloped fragments of one kind plus any
-        # single interleaved indifferent fragments
-        series_kind = kinds[i]
-        members: list[FragmentKind] = []
-        j = i
-        while j < n:
-            k = kinds[j]
-            if k is FragmentKind.EQUAL:
-                # a run of >= 2 indifferent fragments ends the series
-                run_end = j
-                while run_end < n and kinds[run_end] is FragmentKind.EQUAL:
-                    run_end += 1
-                if run_end - j >= 2:
-                    break
-                members.append(k)
-                j += 1
-                continue
-            if k is not series_kind:
-                break
-            members.append(k)
-            j += 1
-        d = sum(1 for k in members if k.distinguishable)
-        step = (1.0 / d) * (1.0 if series_kind is FragmentKind.GREATER else -1.0)
-        for k in members:
-            if k.distinguishable:
-                nxt = _clamp01(current + step)
-                scores.append((current, nxt))
-                current = nxt
-            else:
-                scores.append((current, current))
-        i = j
-
+        else:
+            start = current
+            d = next(series_counts)
+            current = _clamp01(current + (1.0 / d) * (1.0 if kind is greater else -1.0))
+            scores.append((start, current))
+        previous = kind
     return scores
 
 
@@ -245,11 +208,14 @@ def resolve_intervals(a: Fragment, b: Fragment) -> tuple[Fragment, Fragment]:
     keeping the left half.  Non-conflicting pairs pass through unchanged,
     so the operation is idempotent.
     """
-    if not a.same_interval(b):
+    if a.v_lo != b.v_lo or a.v_hi != b.v_hi:
         return a, b
     if a.kind == b.kind and a.s_lo == b.s_lo and a.s_hi == b.s_hi:
         return a, b
     mid = (a.v_lo + a.v_hi) / 2.0
+    if not math.isfinite(mid):
+        # lo + hi overflowed near the float maximum; the sum of the halves cannot
+        mid = a.v_lo / 2.0 + a.v_hi / 2.0
     left = Fragment(a.kind, a.v_lo, mid, a.s_lo, a.s_hi)
     right = Fragment(b.kind, mid, b.v_hi, b.s_lo, b.s_hi)
     return left, right
@@ -267,17 +233,21 @@ def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _compile(fragments: list[Fragment], direction: MetricDirection) -> SatisfactionFunction:
-    frags = list(fragments)
+def _compile(
+    kinds: list[FragmentKind],
+    intervals: list[tuple[float, float]],
+    direction: MetricDirection,
+) -> SatisfactionFunction:
+    """Score the fragments, split conflicting neighbours, drop empty and repeated ones."""
+    frags = [
+        Fragment(kind, v_lo, v_hi, s_lo, s_hi)
+        for kind, (v_lo, v_hi), (s_lo, s_hi) in zip(kinds, intervals, set_scores(kinds, direction))
+    ]
     for i in range(len(frags) - 1):
         frags[i], frags[i + 1] = resolve_intervals(frags[i], frags[i + 1])
-    frags = [f for f in frags if f.width > 0.0]
-    deduped: list[Fragment] = []
-    for f in frags:
-        if deduped and f == deduped[-1]:
-            continue
-        deduped.append(f)
-    return SatisfactionFunction(tuple(deduped), direction)
+    return SatisfactionFunction(
+        tuple(dict.fromkeys(f for f in frags if f.v_lo < f.v_hi)), direction
+    )
 
 
 def compile_single(
@@ -293,21 +263,10 @@ def compile_single(
             raise MissingExpectation(
                 f"label {label} needs an expectation point to split the range"
             )
-        kinds = [label.left]
-        cuts = [lo, hi]
-    else:
-        if not lo <= v_beta <= hi:
-            raise ExpectationOutOfBounds(
-                f"expectation {v_beta} outside bounds ({lo}, {hi})"
-            )
-        kinds = [label.left, label.right]
-        cuts = [lo, v_beta, hi]
-    scores = set_scores(kinds, direction)
-    frags = [
-        Fragment(kind, cuts[i], cuts[i + 1], s_lo, s_hi)
-        for i, (kind, (s_lo, s_hi)) in enumerate(zip(kinds, scores))
-    ]
-    return _compile(frags, direction)
+        return _compile([label.left], [(lo, hi)], direction)
+    if not lo <= v_beta <= hi:
+        raise ExpectationOutOfBounds(f"expectation {v_beta} outside bounds ({lo}, {hi})")
+    return _compile([label.left, label.right], [(lo, v_beta), (v_beta, hi)], direction)
 
 
 def combine(
@@ -330,26 +289,16 @@ def combine(
         if not lo <= v <= hi:
             raise ExpectationOutOfBounds(f"expectation {v} outside bounds ({lo}, {hi})")
 
-    unique: list[tuple[ClassLabel, float]] = []
-    for part in parts:
-        if part not in unique:
-            unique.append(part)
-    unique.sort(key=lambda p: p[1])
-
+    unique = sorted(dict.fromkeys(parts), key=lambda p: p[1])
     if len(unique) == 1:
         label, v = unique[0]
         return compile_single(label, v, bounds, direction)
-
     (label_a, x_a), (label_b, x_b) = unique
-    kinds = [label_a.left, label_a.right, label_b.left, label_b.right]
-    cuts = [lo, x_a, x_a, x_b, hi]
-    intervals = [(lo, x_a), (x_a, x_b), (x_a, x_b), (x_b, hi)]
-    scores = set_scores(kinds, direction)
-    frags = [
-        Fragment(kind, v0, v1, s_lo, s_hi)
-        for kind, (v0, v1), (s_lo, s_hi) in zip(kinds, intervals, scores)
-    ]
-    return _compile(frags, direction)
+    return _compile(
+        [label_a.left, label_a.right, label_b.left, label_b.right],
+        [(lo, x_a), (x_a, x_b), (x_a, x_b), (x_b, hi)],
+        direction,
+    )
 
 
 def evaluate(fn: SatisfactionFunction, v: float) -> float:

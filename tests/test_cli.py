@@ -247,6 +247,29 @@ class TestQuantify:
         assert stdout == ""
         assert "width" in stderr
 
+    def test_two_parts_near_the_float_maximum(self, capsys, tmp_path):
+        # the midpoint of [1.2e308, 1.5e308] overflows as (lo + hi) / 2
+        inp = tmp_path / "reqs.txt"
+        inp.write_text(
+            "The response shall be in 1.2e308 seconds and ideally less than 1.5e308 seconds\n"
+            "The system should response in 2 seconds\n",
+            encoding="utf-8",
+        )
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds=1e308,1.7e308",
+            ],
+        )
+        assert code == 0
+        lines = stdout.strip().splitlines()
+        assert len(lines) == 2
+        knots = [seg["v_hi"] for seg in json.loads(lines[0])["segments"]]
+        assert knots == [1.2e308, 1.35e308, 1.5e308, 1.7e308]
+        assert lines[1] == "null"
+        assert stderr.startswith("line 2: expectation 2.0 outside bounds")
+
 
 class TestEval:
     def test_bootstrap_smoke_and_determinism(self, capsys):

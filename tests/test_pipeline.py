@@ -6,6 +6,7 @@ from perfquant import (
     Pattern,
     QuantificationRequest,
     classify,
+    compile_single,
     quantify,
 )
 from perfquant.data import default_directions
@@ -170,6 +171,29 @@ class TestQuantify:
         assert result.parts[0][1] == label("ES") and result.parts[0][2] == 5.0
         assert any("expectation" in w for w in result.warnings)
         assert result.function(10) == 0.0
+
+    def test_first_part_without_expectation_is_dropped_for_the_second(
+        self, mini_store, bundled_kb
+    ):
+        # both parts match, but only the second holds an expectation point,
+        # so it alone is compiled and the first is named in a warning
+        result = quantify(
+            QuantificationRequest(
+                text="The system must be fast for 3 users and be reliable for 5 users"
+            ),
+            bundled_kb,
+            mini_store,
+        )
+        assert result.parts == [
+            ("The system must be be reliable for 5 users", label("GS"), 5.0, 0.6023856010741659)
+        ]
+        assert result.warnings == [
+            "part 'The system must be fast for 3 users' lacks an expectation point; "
+            "quantified without it"
+        ]
+        assert result.function == compile_single(
+            label("GS"), 5.0, (0.0, 10.0), MetricDirection.MAXIMIZE
+        )
 
     def test_nothing_matched_raises(self, example_kb, mini_store):
         with pytest.raises(NoMatch):

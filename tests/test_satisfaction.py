@@ -78,6 +78,77 @@ class TestSetScores:
         with pytest.raises(ValueError):
             set_scores([], MIN)
 
+    def test_matches_series_scan_oracle(self):
+        # bit-identical to the reference series scan on every short sequence
+        for n in range(1, 8):
+            for seq in itertools.product((G, S, E), repeat=n):
+                for direction in (MIN, MAX):
+                    got = [(a.hex(), b.hex()) for a, b in set_scores(list(seq), direction)]
+                    want = [(a.hex(), b.hex()) for a, b in series_scan_scores(seq, direction)]
+                    assert got == want, (seq, direction)
+
+
+def series_scan_scores(kinds, direction):
+    """Reference score setting: find each maximal series, then step through it.
+
+    A run of two or more indifferent fragments is a series whose scores
+    alternate; otherwise a series collects sloped fragments of one kind and
+    single indifferent fragments, and steps by 1/d over its d sloped ones.
+    """
+    if kinds[0] is E:
+        current = 1.0 if direction is MIN else 0.0
+    else:
+        current = 0.0 if kinds[0] is G else 1.0
+    scores = []
+    n = len(kinds)
+    i = 0
+    while i < n:
+        if kinds[i] is E:
+            j = i
+            while j < n and kinds[j] is E:
+                j += 1
+            run = j - i
+            if run >= 2:
+                scores.append((current, current))
+                for _ in range(run - 1):
+                    current = 1.0 - current
+                    scores.append((current, current))
+                i = j
+                continue
+            scores.append((current, current))
+            i += 1
+            continue
+
+        series_kind = kinds[i]
+        members = []
+        j = i
+        while j < n:
+            k = kinds[j]
+            if k is E:
+                run_end = j
+                while run_end < n and kinds[run_end] is E:
+                    run_end += 1
+                if run_end - j >= 2:
+                    break
+                members.append(k)
+                j += 1
+                continue
+            if k is not series_kind:
+                break
+            members.append(k)
+            j += 1
+        d = sum(1 for k in members if k is not E)
+        step = (1.0 / d) * (1.0 if series_kind is G else -1.0)
+        for k in members:
+            if k is not E:
+                nxt = min(1.0, max(0.0, current + step))
+                scores.append((current, nxt))
+                current = nxt
+            else:
+                scores.append((current, current))
+        i = j
+    return scores
+
 
 class TestCompileSingle:
     def test_unbounded_smaller_preference(self):
@@ -159,6 +230,15 @@ class TestResolveIntervals:
         b = Fragment(E, 2, 5, 0.5, 0.5)
         once = resolve_intervals(a, b)
         assert resolve_intervals(*once) == once
+
+    def test_midpoint_near_the_float_maximum(self):
+        # (lo + hi) / 2 overflows to inf here
+        a = Fragment(S, 1.2e308, 1.5e308, 1.0, 0.5)
+        b = Fragment(E, 1.2e308, 1.5e308, 0.5, 0.5)
+        ra, rb = resolve_intervals(a, b)
+        assert ra.v_hi == rb.v_lo == 1.35e308
+        fn = combine([(label("ES"), 1.2e308), (label("ES"), 1.5e308)], (1e308, 1.7e308), MIN)
+        assert [seg.v_hi for seg in fn.segments] == [1.2e308, 1.35e308, 1.5e308, 1.7e308]
 
 
 class TestCombine:
@@ -301,6 +381,33 @@ class TestProperties:
         assert combine([(lab, v_beta)], bounds, direction) == compile_single(
             lab, v_beta, bounds, direction
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(compile_inputs(), st.booleans(), st.data())
+    def test_segments_shaped_as_their_kind(self, inputs, two_parts, data):
+        # from compile_single, or from combine with a second part whose
+        # expectation point also lies inside the bounds; two points near
+        # the float maximum have a midpoint whose sum overflows
+        lab, v_beta, (lo, hi), direction = inputs
+        assume(math.isfinite(hi - lo))
+        if two_parts:
+            second = (data.draw(st.sampled_from(ALL_LABELS)), data.draw(st.floats(lo, hi)))
+            # combine needs an expectation point for each part
+            v_beta = lo if v_beta is None else v_beta
+            fn = combine([(lab, v_beta), second], (lo, hi), direction)
+        else:
+            fn = compile_single(lab, v_beta, (lo, hi), direction)
+        segments = fn.segments
+        assert segments[0].v_lo == lo and segments[-1].v_hi == hi
+        assert all(a.v_hi == b.v_lo for a, b in zip(segments, segments[1:]))
+        for seg in segments:
+            assert seg.v_lo < seg.v_hi
+            if seg.kind is G:
+                assert seg.s_lo <= seg.s_hi
+            elif seg.kind is S:
+                assert seg.s_lo >= seg.s_hi
+            else:
+                assert seg.s_lo == seg.s_hi
 
 
 class TestSerialization:
