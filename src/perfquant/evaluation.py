@@ -8,6 +8,7 @@ import os
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .embeddings import VectorStore
 from .errors import (
@@ -21,18 +22,32 @@ from .errors import (
 from .matching import MatcherConfig, select
 from .patterns import Pattern, PatternKB, extract_pattern
 from .satisfaction import ClassLabel, MetricDirection
-from .text import tokenize
+from .text import TokenizedRequirement, tokenize
 
 DATASET_COLUMNS = ("id", "text", "left", "right", "v_beta", "direction")
 
 
 @dataclass(frozen=True)
 class LabeledRequirement:
+    """One dataset row; its tokens and pattern are computed once, on first use."""
+
     id: str
     text: str
     gold: ClassLabel
     gold_v_beta: float | None = None
     direction: MetricDirection | None = None
+
+    @cached_property
+    def tokens(self) -> TokenizedRequirement:
+        return tokenize(self.text)
+
+    @cached_property
+    def pattern(self) -> Pattern | None:
+        """None where the extraction heuristic finds no span."""
+        try:
+            return extract_pattern(self.tokens, self.gold, source_id=self.id)
+        except (NoExtractableSpan, EmptyInput):
+            return None
 
 
 @dataclass(frozen=True)
@@ -62,12 +77,11 @@ class BootstrapResult:
     train_size: int = 0
 
     def __post_init__(self) -> None:
-        series = [(r.wp, r.wr, r.wf1) for r in self.reports]
-        self.mean = tuple(statistics.mean(col) for col in zip(*series))
-        if len(series) > 1:
-            self.sd = tuple(statistics.stdev(col) for col in zip(*series))
-        else:
-            self.sd = (0.0, 0.0, 0.0)
+        columns = list(zip(*((r.wp, r.wr, r.wf1) for r in self.reports)))
+        self.mean = tuple(map(statistics.mean, columns))
+        self.sd = (0.0, 0.0, 0.0)
+        if len(self.reports) > 1:
+            self.sd = tuple(map(statistics.stdev, columns))
 
 
 def load_dataset(path: str | os.PathLike) -> list[LabeledRequirement]:
@@ -103,6 +117,8 @@ def load_dataset(path: str | os.PathLike) -> list[LabeledRequirement]:
                 v_beta = float(raw_beta) if raw_beta else None
             except ValueError as exc:
                 raise DatasetParseError(f"{where}: bad v_beta {raw_beta!r}") from exc
+            if v_beta is not None and not math.isfinite(v_beta):
+                raise DatasetParseError(f"{where}: v_beta {raw_beta!r} is not finite")
             raw_dir = (row["direction"] or "").strip()
             try:
                 direction = MetricDirection.from_code(raw_dir) if raw_dir else None
@@ -151,13 +167,7 @@ def weighted_metrics(
 def extract_patterns(rows: list[LabeledRequirement]) -> list[Pattern]:
     """One pattern per labeled row, in row order; rows the heuristic cannot
     handle are skipped."""
-    extracted = []
-    for row in rows:
-        try:
-            extracted.append(extract_pattern(tokenize(row.text), row.gold, source_id=row.id))
-        except (NoExtractableSpan, EmptyInput):
-            continue
-    return extracted
+    return [row.pattern for row in rows if row.pattern is not None]
 
 
 def build_kb(
@@ -170,11 +180,11 @@ def build_kb(
 def predict_label(
     kb: PatternKB,
     store: VectorStore,
-    text: str,
+    req: TokenizedRequirement,
     cfg: MatcherConfig | None = None,
 ) -> tuple[ClassLabel | None, float | None]:
     """Single-label prediction for a dataset row (rows are pre-split)."""
-    match = select(kb, store, tokenize(text), cfg)
+    match = select(kb, store, req, cfg)
     if match is None:
         return None, None
     return match.label, match.v_beta
@@ -188,23 +198,17 @@ def evaluate_split(
     cfg: MatcherConfig | None = None,
 ) -> MetricsReport:
     kb = build_kb(train, base_patterns)
-    golds = [row.gold for row in test]
-    preds = [predict_label(kb, store, row.text, cfg)[0] for row in test]
-    return weighted_metrics(golds, preds)
-
-
-def run_seed(seed: int, run_index: int) -> int:
-    return seed * 1_000_003 + run_index
+    preds = [predict_label(kb, store, row.tokens, cfg)[0] for row in test]
+    return weighted_metrics([row.gold for row in test], preds)
 
 
 def sample_split(
     n: int, train_size: int, seed: int, run_index: int
 ) -> tuple[list[int], list[int]]:
     """Seeded sample without replacement; train and test partition [0, n)."""
-    rng = random.Random(run_seed(seed, run_index))
+    rng = random.Random(seed * 1_000_003 + run_index)
     train_idx = sorted(rng.sample(range(n), train_size))
-    chosen = set(train_idx)
-    test_idx = [i for i in range(n) if i not in chosen]
+    test_idx = sorted(set(range(n)).difference(train_idx))
     return train_idx, test_idx
 
 
@@ -227,6 +231,8 @@ def bootstrap_eval(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     n = len(dataset)
+    if train_size is None and not math.isfinite(train_fraction):
+        raise DatasetTooSmall(f"train fraction {train_fraction} is not finite")
     k = train_size if train_size is not None else math.floor(train_fraction * n)
     if k < 1 or k >= n:
         raise DatasetTooSmall(f"train size {k} of {n} leaves an empty partition")

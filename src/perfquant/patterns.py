@@ -84,15 +84,10 @@ class PatternKB:
     @classmethod
     def build(cls, patterns) -> "PatternKB":
         """Deduplicate (tokens, label) pairs keeping the first occurrence."""
-        seen = set()
-        unique = []
+        unique: dict = {}
         for p in patterns:
-            key = (p.tokens, p.label)
-            if key in seen:
-                continue
-            seen.add(key)
-            unique.append(p)
-        return cls(tuple(unique))
+            unique.setdefault((p.tokens, p.label), p)
+        return cls(tuple(unique.values()))
 
     @cached_property
     def postings(self) -> dict[str, tuple[int, ...]]:
@@ -196,7 +191,5 @@ def extract_pattern(
     end = content[-1] if content else -1
     if end <= start:
         raise NoExtractableSpan(f"no span after anchor in {req.raw!r}")
-    words = [
-        t.normalized for t in tokens[start : end + 1] if not t.is_number
-    ]
+    words = [t.normalized for t in tokens[start : end + 1] if not t.is_number]
     return Pattern(tuple(words), label, source_id)

@@ -317,7 +317,7 @@ def test_desk_scale_end_to_end(mini_store, bundled_kb):
     started = time.perf_counter()
     rows = load_dataset(data_path(MINI_CORPUS_FILE))
     golds = [row.gold for row in rows]
-    preds = [predict_label(bundled_kb, mini_store, row.text)[0] for row in rows]
+    preds = [predict_label(bundled_kb, mini_store, tokenize(row.text))[0] for row in rows]
     report = weighted_metrics(golds, preds)
     elapsed = time.perf_counter() - started
     assert report.wf1 >= 0.80, f"wF1 {report.wf1:.3f}"
@@ -348,7 +348,7 @@ def test_efficiency_sanity(mini_store):
 
     started = time.perf_counter()
     kb = build_kb(rows)
-    preds = [predict_label(kb, mini_store, row.text)[0] for row in rows[:100]]
+    preds = [predict_label(kb, mini_store, tokenize(row.text))[0] for row in rows[:100]]
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     correct = sum(1 for row, pred in zip(rows[:100], preds) if pred == row.gold)

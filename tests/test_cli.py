@@ -300,6 +300,15 @@ class TestEval:
         payload = json.loads(report.read_text())
         assert payload["runs"][0]["wF1"] >= 0.8
 
+    def test_non_finite_train_fraction_exits_2(self, capsys):
+        for raw in ("inf", "nan"):
+            code, stdout, stderr = run(
+                capsys,
+                ["eval", "--dataset", CORPUS, "--vectors", VECTORS, "--train-fraction", raw],
+            )
+            assert code == 2 and stdout == ""
+            assert stderr == f"error: train fraction {raw} is not finite\n"
+
     def test_base_patterns_merge(self, capsys):
         code, stdout, _ = run(
             capsys,

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 
 from perfquant import (
     ClassLabel,
     bootstrap_eval,
     cross_eval,
+    evaluation,
     load_dataset,
     weighted_metrics,
 )
@@ -56,6 +59,17 @@ class TestLoadDataset:
             encoding="utf-8",
         )
         with pytest.raises(DuplicateId):
+            load_dataset(f)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-Infinity"])
+    def test_non_finite_v_beta_reports_row(self, tmp_path, raw):
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "id,text,left,right,v_beta,direction\n"
+            f"r1,respond in 2 seconds,E,S,2,min\nr2,respond in 3 seconds,E,S,{raw},\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetParseError, match=f"row 3: v_beta '{raw}' is not finite"):
             load_dataset(f)
 
     def test_bad_header(self, tmp_path):
@@ -155,6 +169,12 @@ class TestBootstrap:
         with pytest.raises(DatasetTooSmall):
             bootstrap_eval(rows, runs=1, train_fraction=0.1, seed=1, store=mini_store)
 
+    @pytest.mark.parametrize("fraction", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_train_fraction(self, mini_store, fraction):
+        rows = load_dataset(data_path(MINI_CORPUS_FILE))
+        with pytest.raises(DatasetTooSmall, match=f"train fraction {fraction} is not finite"):
+            bootstrap_eval(rows, runs=1, train_fraction=fraction, seed=1, store=mini_store)
+
     def test_report_has_summary_line(self, mini_store):
         rows = load_dataset(data_path(MINI_CORPUS_FILE))
         result = bootstrap_eval(rows, runs=2, train_fraction=2 / 3, seed=3, store=mini_store)
@@ -162,6 +182,45 @@ class TestBootstrap:
         assert lines[0] == "run\twP\twR\twF1\tn_nomatch"
         assert len(lines) == 4
         assert lines[-1].startswith("mean±sd\t")
+
+
+class TestRowsCompiledOnce:
+    def test_runs_reuse_each_rows_tokens_and_pattern(self, mini_store, monkeypatch):
+        """Three calls of four runs tokenize and extract each row once, still
+        predict every test row of every run, and score as a fresh dataset."""
+        calls = Counter()
+
+        def count_calls(name):
+            original = getattr(evaluation, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+
+        for name in ("tokenize", "extract_pattern", "predict_label"):
+            count_calls(name)
+
+        rows = load_dataset(data_path(MINI_CORPUS_FILE))
+        results = [
+            bootstrap_eval(rows, runs=4, train_fraction=2 / 3, seed=seed, store=mini_store)
+            for seed in (1, 2, 3)
+        ]
+        k = results[0].train_size
+        trained = {i for seed in (1, 2, 3) for run in range(4)
+                   for i in sample_split(len(rows), k, seed, run)[0]}
+        assert calls["tokenize"] == len(rows)
+        assert calls["extract_pattern"] == len(trained)
+        assert calls["predict_label"] == 3 * 4 * (len(rows) - k)
+
+        monkeypatch.undo()
+        fresh = [
+            bootstrap_eval(load_dataset(data_path(MINI_CORPUS_FILE)), runs=4,
+                           train_fraction=2 / 3, seed=seed, store=mini_store)
+            for seed in (1, 2, 3)
+        ]
+        assert [r.reports for r in results] == [r.reports for r in fresh]
 
 
 class TestCrossEval:

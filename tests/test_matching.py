@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfquant import (
     ClassLabel,
@@ -14,7 +16,9 @@ from perfquant import (
     syntactic_score,
 )
 from perfquant.errors import EmptyKB
+from perfquant.matching import NEGATIONS
 from perfquant.patterns import PLACEHOLDER, PatternKB
+from perfquant.satisfaction import ALL_LABELS, FragmentKind
 from perfquant.text import tokenize
 
 
@@ -307,3 +311,32 @@ class TestApplyNegation:
         for codes in ("GE", "SE", "ES", "EG", "GG", "SS", "GS", "SG", "EE"):
             lab = label(codes)
             assert lab.swap_preferences().swap_preferences() == lab
+
+
+NEGATION_WORDS = ("not", "never", "no", "exceed", "more", "than", "respond", "in", "5", "x")
+FLIPPED = {
+    FragmentKind.SMALLER: FragmentKind.GREATER,
+    FragmentKind.GREATER: FragmentKind.SMALLER,
+    FragmentKind.EQUAL: FragmentKind.EQUAL,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(NEGATION_WORDS[:-1] + (PLACEHOLDER,)), min_size=1, max_size=6)
+    .filter(lambda tokens: tokens.count(PLACEHOLDER) <= 1),
+    st.lists(st.sampled_from(NEGATION_WORDS), min_size=1, max_size=8),
+    st.sampled_from(ALL_LABELS),
+)
+def test_negation_flips_only_smaller_and_greater(p_tokens, r_words, lab):
+    """The label comes back as is or with S and G swapped on both sides;
+    an E stays an E."""
+    p = Pattern(tuple(p_tokens), lab)
+    req = tokenize(" ".join(r_words))
+    got = apply_negation(req, lcs(p, req), p)
+    assert got in (lab, ClassLabel(FLIPPED[lab.left], FLIPPED[lab.right]))
+    assert got in (lab, lab.swap_preferences())
+    for before, after in ((lab.left, got.left), (lab.right, got.right)):
+        assert (before is FragmentKind.EQUAL) == (after is FragmentKind.EQUAL)
+    if not NEGATIONS.intersection(r_words + p_tokens):
+        assert got == lab  # no negator anywhere: nothing to flip

@@ -1,7 +1,23 @@
+import string
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfquant.errors import EmptyInput
-from perfquant.text import detokenize, split_expectations, tokenize
+from perfquant.text import DEFAULT_CONNECTIVES, detokenize, split_expectations, tokenize
+
+# words that exercise the split: numbers (signed, grouped, unit-suffixed),
+# standalone and attached connectives, and the modal verbs of the prefix
+SPLIT_WORDS = (
+    "the", "system", "shall", "must", "respond", "in", "under", "ideally", "seconds",
+    "seconds,", "users;", "5", "-2.5", "1,000", "15ms", "1e3", "(3)", "and", "or",
+    "while", ";", ",", "2nd",
+)
+CHUNKS = st.one_of(
+    st.sampled_from(SPLIT_WORDS),
+    st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=6),
+)
 
 
 class TestTokenize:
@@ -131,3 +147,27 @@ class TestSplitExpectations:
             if tok.normalized == "and":
                 continue
             assert tok.normalized in kept
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(CHUNKS, min_size=1, max_size=14))
+def test_split_keeps_every_token_but_the_connective_in_order(chunks):
+    """Part one is a head of the requirement; part two is a copied subject
+    prefix (no number in it) followed by the rest, less one standalone
+    connective where the split fell on one."""
+    req = tokenize(" ".join(chunks))
+    parts = split_expectations(req)
+    if len(parts) == 1:
+        assert parts == [req]
+        return
+    surfaces = [t.surface for t in req.tokens]
+    first, second = ([t.surface for t in part.tokens] for part in parts)
+    assert len(parts) == 2 and surfaces[: len(first)] == first
+    tail = surfaces[len(first):]
+    copied = len(second) - len(tail)
+    if copied < 0 or second[copied:] != tail:
+        assert req.tokens[len(first)].normalized in DEFAULT_CONNECTIVES
+        copied += 1
+        assert second[copied:] == tail[1:]
+    assert second[:copied] == surfaces[:copied]
+    assert not any(t.is_number for t in req.tokens[:copied])
