@@ -63,3 +63,7 @@ class LengthMismatch(PerfQuantError):
 
 class DatasetTooSmall(PerfQuantError):
     """A resampling split would leave the train or test partition empty."""
+
+
+class InvalidArgument(PerfQuantError, ValueError):
+    """An argument lies outside the domain its function documents."""

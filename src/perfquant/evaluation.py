@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import random
 import statistics
@@ -16,6 +17,7 @@ from .errors import (
     DatasetTooSmall,
     DuplicateId,
     EmptyInput,
+    InvalidArgument,
     LengthMismatch,
     NoExtractableSpan,
 )
@@ -227,9 +229,13 @@ def bootstrap_eval(
     Each run draws floor(train_fraction * n) rows (or exactly train_size
     when given) without replacement under a per-run derived seed, builds a
     pattern base from them, and scores classification on the remainder.
+    `runs` below 1, or a `runs` or `train_size` that is not an integer,
+    raises `InvalidArgument`.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    if not isinstance(runs, numbers.Integral) or runs < 1:
+        raise InvalidArgument(f"runs must be an integer >= 1, got {runs!r}")
+    if train_size is not None and not isinstance(train_size, numbers.Integral):
+        raise InvalidArgument(f"train_size must be an integer, got {train_size!r}")
     n = len(dataset)
     if train_size is None and not math.isfinite(train_fraction):
         raise DatasetTooSmall(f"train fraction {train_fraction} is not finite")

@@ -260,6 +260,75 @@ def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dic
     return {i: w * ((r + number * flags[i]) / lengths[i]) + c for i, r in reach.items()}
 
 
+def _prefix_bounds(
+    kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig
+) -> tuple[dict[int, float], float]:
+    """The bounds above the cap, by pattern index, and the cap.
+
+    The cap is fuse((longest - 1) / longest, _SEM_CEILING, cfg), `longest`
+    being the base's longest pattern.  A bound above it belongs to a
+    pattern of full reach, every position reached, whose bound is
+    fuse(len / len, _SEM_CEILING, cfg) as `_bounds` computes it; such a
+    pattern holds its rarest word, so only the patterns of
+    `PatternKB.rarest` for the requirement's words are tested.
+    """
+    words = {t.normalized for t in req.tokens}
+    # the placeholder's position is reached by a number, never by a word
+    words.discard(PLACEHOLDER)
+    if any(t.is_number for t in req.tokens):
+        words.add(PLACEHOLDER)
+    w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
+    longest = kb.longest
+    cap = w * ((longest - 1) / longest) + c
+    top = w * 1.0 + c
+    if top <= cap:
+        return {}, cap
+    patterns, rarest = kb.patterns, kb.rarest
+    covered = words.issuperset
+    return dict.fromkeys(
+        (i for t in words for i in rarest.get(t, ()) if covered(patterns[i].bitmasks)), top
+    ), cap
+
+
+def _best(
+    kb: PatternKB,
+    store: VectorStore,
+    req: TokenizedRequirement,
+    cfg: MatcherConfig,
+    bound: dict[int, float],
+    best: tuple | None,
+) -> tuple | None:
+    """`best`, or the best of `bound`'s candidates that beats it, as
+    (key, index, pattern, lcs, syn_raw, syn, sem, fused).
+
+    Candidates are visited in descending bound, ties by ascending index,
+    until a bound falls strictly below the best fused score so far.
+    """
+    # a stable sort: descending bound, ties by ascending index
+    for index in sorted(sorted(bound), key=bound.__getitem__, reverse=True):
+        if best is not None and bound[index] < best[0][0]:
+            break
+        pattern = kb.patterns[index]
+        result = lcs(pattern, req)
+        if result.length == 0:
+            continue
+        if result.length == 1 and result.v_beta is not None:
+            # the placeholder alone matched: a bare number shared with any
+            # numeric requirement carries no structural signal
+            continue
+        if result.v_beta is None and all(
+            t in _FUNCTION_WORDS for t in result.matched_tokens
+        ):
+            continue
+        syn_raw, syn = syntactic_score(pattern, result)
+        sem = semantic_score(store, pattern, result)
+        fused = fuse(syn, sem, cfg)
+        key = (fused, syn, -len(pattern), -index)
+        if best is None or key > best[0]:
+            best = (key, index, pattern, result, syn_raw, syn, sem, fused)
+    return best
+
+
 def select(
     kb: PatternKB,
     store: VectorStore,
@@ -293,41 +362,36 @@ def select(
     bound, then ascending index, and the visit stops at the first bound
     strictly below the best fused score so far: a candidate whose bound
     equals it could still tie on fused and win on the tie-break.
+
+    Most candidates are never visited, so most bounds need not be computed
+    either (prefix filtering: Chaudhuri, Ganti & Kaushik, "A primitive
+    operator for similarity joins in data cleaning", ICDE 2006; Bayardo,
+    Ma & Srikant, "Scaling up all pairs similarity search", WWW 2007).  A
+    pattern whose rarest word is not in the requirement misses that
+    position, so its reach is at most len - 1 and its bound at most
+    cap = fuse((longest - 1) / longest, _SEM_CEILING), longest being the
+    base's longest pattern: (len - 1) / len grows with len, and rounding
+    is monotone.  Every bound above the cap therefore belongs to a pattern
+    of full reach listed in `PatternKB.rarest` under a requirement word,
+    and `_prefix_bounds` tests only those.  They are visited first; the
+    visit goes on to every bound at or below the cap, through the full
+    `_bounds`, only when the best fused score so far does not exceed the
+    cap.  The two passes visit the candidates in the order a single
+    ranking would, and stop where it would.
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
     cfg = cfg or MatcherConfig()
 
-    bound = _bounds(kb, req, cfg)
-    best = None
-    best_key = None
-    # a stable sort: descending bound, ties by ascending index
-    for index in sorted(sorted(bound), key=bound.__getitem__, reverse=True):
-        if best_key is not None and bound[index] < best_key[0]:
-            break
-        pattern = kb.patterns[index]
-        result = lcs(pattern, req)
-        if result.length == 0:
-            continue
-        if result.length == 1 and result.v_beta is not None:
-            # the placeholder alone matched: a bare number shared with any
-            # numeric requirement carries no structural signal
-            continue
-        if result.v_beta is None and all(
-            t in _FUNCTION_WORDS for t in result.matched_tokens
-        ):
-            continue
-        syn_raw, syn = syntactic_score(pattern, result)
-        sem = semantic_score(store, pattern, result)
-        fused = fuse(syn, sem, cfg)
-        key = (fused, syn, -len(pattern), -index)
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (index, pattern, result, syn_raw, syn, sem, fused)
+    first, cap = _prefix_bounds(kb, req, cfg)
+    best = _best(kb, store, req, cfg, first, None)
+    if best is None or best[0][0] <= cap:
+        rest = {i: b for i, b in _bounds(kb, req, cfg).items() if b <= cap}
+        best = _best(kb, store, req, cfg, rest, best)
     if best is None:
         return None
 
-    index, pattern, result, syn_raw, syn, sem, fused = best
+    _, index, pattern, result, syn_raw, syn, sem, fused = best
     label = apply_negation(req, result, pattern)
     return MatchResult(
         pattern_index=index,

@@ -105,8 +105,26 @@ class PatternKB:
         return {token: tuple(indices) for token, indices in index.items()}
 
     @cached_property
+    def rarest(self) -> dict[str, tuple[int, ...]]:
+        """Word token -> the indices of the patterns whose rarest word it is,
+        ascending: the word with the fewest `postings`, ties to the lower
+        token.  A pattern of the placeholder alone has no rarest word."""
+        postings = self.postings
+        index: dict[str, list[int]] = {}
+        for i, pattern in enumerate(self.patterns):
+            words = [t for t in pattern.tokens if t != PLACEHOLDER]
+            if words:
+                word = min(words, key=lambda t: (len(postings[t]), t))
+                index.setdefault(word, []).append(i)
+        return {token: tuple(indices) for token, indices in index.items()}
+
+    @cached_property
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.patterns)
+
+    @cached_property
+    def longest(self) -> int:
+        return max(self.lengths, default=0)
 
     @cached_property
     def placeholder_flags(self) -> tuple[int, ...]:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from perfquant import (
     ClassLabel,
@@ -17,6 +19,7 @@ from perfquant import (
 )
 from perfquant.data import VECTORS_FILE, path as data_path
 from perfquant.errors import DimensionMismatch, VectorFormatError
+from perfquant.patterns import PLACEHOLDER
 from perfquant.text import tokenize
 
 
@@ -174,3 +177,57 @@ class TestCosine:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
+
+# components up to 1e153 keep a squared norm, and a product of two norms,
+# finite in up to 8 dimensions: 8 * (1e153)**2 = 8e306
+COMPONENT = st.one_of(st.just(0.0), st.floats(-1e153, 1e153))
+
+
+def vectors(min_size, max_size):
+    """Lists of vectors of one dimension, 1 to 8."""
+    return st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.lists(COMPONENT, min_size=n, max_size=n),
+                           min_size=min_size, max_size=max_size)
+    )
+
+
+def reference_cosine(u, v):
+    """The formula `cosine` had, with np.linalg.norm and np.dot."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+class TestAgainstNumpyReference:
+    """`cosine` and `sentence_vector` give the numpy formulas' bits."""
+
+    @given(vectors(2, 2))
+    @example(([0.0, 0.0], [1.0, 2.0]))
+    @example(([0.0], [0.0]))
+    @example(([1e153] * 8, [-1e153] * 8))
+    @example(([5e-324, 0.0], [1e153, 1e-300]))
+    def test_cosine(self, pair):
+        u, v = pair
+        assert cosine(u, v).hex() == reference_cosine(u, v).hex()
+        assert cosine(np.array(u), np.array(v)).hex() == reference_cosine(u, v).hex()
+
+    @given(
+        vectors(1, 6),
+        st.lists(st.sampled_from(("w0", "w1", "w2", "w3", "w4", "w5", "unknown", "7", PLACEHOLDER)),
+                 min_size=1, max_size=8),
+    )
+    @example([[0.0, 0.0], [0.0, 0.0]], ["w0", "w1"])
+    @example([[1e153, -1e153], [1e153, 1e153]], ["w0", "w1", "w1"])
+    def test_sentence_vector(self, vectors, tokens):
+        entries = {f"w{i}": np.array(vec, dtype=np.float64) for i, vec in enumerate(vectors)}
+        entries["number"] = entries["w0"]
+        store = VectorStore(dimension=len(vectors[0]), entries=entries)
+        known = [entries["number" if t in ("7", PLACEHOLDER) else t]
+                 for t in tokens if t in entries or t in ("7", PLACEHOLDER)]
+        want = np.mean(known, axis=0) if known else np.zeros(store.dimension)
+        got = sentence_vector(store, tokens)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

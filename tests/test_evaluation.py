@@ -16,7 +16,9 @@ from perfquant.errors import (
     DatasetTooSmall,
     DuplicateId,
     EmptyInput,
+    InvalidArgument,
     LengthMismatch,
+    PerfQuantError,
 )
 from perfquant.evaluation import report_lines, sample_split
 
@@ -174,6 +176,22 @@ class TestBootstrap:
         rows = load_dataset(data_path(MINI_CORPUS_FILE))
         with pytest.raises(DatasetTooSmall, match=f"train fraction {fraction} is not finite"):
             bootstrap_eval(rows, runs=1, train_fraction=fraction, seed=1, store=mini_store)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"runs": 0}, "runs must be an integer >= 1, got 0"),
+            ({"runs": 2.0}, "runs must be an integer >= 1, got 2.0"),
+            ({"runs": 1, "train_size": 2.5}, "train_size must be an integer, got 2.5"),
+        ],
+    )
+    def test_bad_runs_and_train_size_are_typed(self, mini_store, kwargs, message):
+        rows = load_dataset(data_path(MINI_CORPUS_FILE))
+        with pytest.raises(InvalidArgument, match=f"^{message}$") as caught:
+            bootstrap_eval(rows, train_fraction=2 / 3, seed=1, store=mini_store, **kwargs)
+        # callers catching either the package's errors or ValueError keep working
+        assert isinstance(caught.value, PerfQuantError)
+        assert isinstance(caught.value, ValueError)
 
     def test_report_has_summary_line(self, mini_store):
         rows = load_dataset(data_path(MINI_CORPUS_FILE))
