@@ -32,7 +32,6 @@ from .patterns import (
     PatternKB,
     extract_pattern,
     load_patterns,
-    save_patterns,
 )
 from .pipeline import (
     QuantificationRequest,
@@ -90,7 +89,6 @@ __all__ = [
     "load_vectors",
     "quantify",
     "resolve_intervals",
-    "save_patterns",
     "select",
     "semantic_score",
     "sentence_vector",

@@ -56,9 +56,10 @@ def run_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """The non-blank lines of `path`, each with its line number in the file."""
     with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
 
 
 def run_classify(args: argparse.Namespace) -> int:
@@ -66,7 +67,7 @@ def run_classify(args: argparse.Namespace) -> int:
     store = load_vectors(args.vectors)
     cfg = MatcherConfig(w=args.w)
     print("line_no\tpart\tleft\tright\tv_beta\tfused\tpattern")
-    for line_no, line in enumerate(_read_lines(args.input), start=1):
+    for line_no, line in _read_lines(args.input):
         # one row per split part, so a second expectation point is kept
         for part_no, part in enumerate(classify(line, kb, store, cfg), start=1):
             match = part.match
@@ -94,7 +95,7 @@ def run_quantify(args: argparse.Namespace) -> int:
     cfg = MatcherConfig(w=args.w)
     bounds = _parse_bounds(args.bounds) if args.bounds else None
     direction = MetricDirection(args.direction) if args.direction else None
-    for line_no, line in enumerate(_read_lines(args.input), start=1):
+    for line_no, line in _read_lines(args.input):
         request = QuantificationRequest(text=line, bounds=bounds, direction=direction)
         try:
             result = quantify(request, kb, store, cfg)

@@ -232,8 +232,8 @@ def apply_negation(
     """
     matched_positions = set(result.matched_positions)
     req_negated = any(
-        tok.normalized in NEGATIONS and tok.position not in matched_positions
-        for tok in req.tokens
+        tok.normalized in NEGATIONS and i not in matched_positions
+        for i, tok in enumerate(req.tokens)
     )
     matched_words = set(result.matched_tokens)
     pattern_negated = any(t in NEGATIONS and t not in matched_words for t in pattern.tokens)

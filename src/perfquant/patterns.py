@@ -170,11 +170,6 @@ def format_patterns(kb: PatternKB) -> str:
     return "".join("\t".join((p.text, *p.label.codes)) + "\n" for p in kb.patterns)
 
 
-def save_patterns(kb: PatternKB, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_patterns(kb))
-
-
 def extract_pattern(
     req: TokenizedRequirement, label: ClassLabel, source_id: str | None = None
 ) -> Pattern:
@@ -187,23 +182,21 @@ def extract_pattern(
     """
     tokens = req.tokens
 
-    for tok in tokens:
-        if not tok.is_number:
-            continue
-        start = tok.position
+    for number in req.numeric_positions:
+        start = number
         while start - 1 >= 0 and tokens[start - 1].normalized in DEFAULT_COMPLEMENTS:
             start -= 1
-        if start < tok.position:
-            words = [t.normalized for t in tokens[start : tok.position]]
+        if start < number:
+            words = [t.normalized for t in tokens[start:number]]
             return Pattern(tuple(words + [PLACEHOLDER]), label, source_id)
 
-    anchors = [t.position for t in tokens if t.normalized in EXTRACT_VERBS]
+    anchors = [i for i, t in enumerate(tokens) if t.normalized in EXTRACT_VERBS]
     if not anchors:
         raise NoExtractableSpan(f"no anchor found in {req.raw!r}")
     start = anchors[-1]
     content = [
-        t.position
-        for t in tokens
+        i
+        for i, t in enumerate(tokens)
         if t.normalized not in STOPWORDS and not t.is_number and t.normalized
     ]
     end = content[-1] if content else -1

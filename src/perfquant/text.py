@@ -27,11 +27,13 @@ class Token:
     normalized: str
     is_number: bool
     numeric_value: float | None
-    position: int
 
 
 @dataclass(frozen=True)
 class TokenizedRequirement:
+    """A requirement's text and its tokens; a token's position is its
+    index in `tokens`."""
+
     raw: str
     tokens: tuple[Token, ...]
 
@@ -44,7 +46,7 @@ class TokenizedRequirement:
 
     @property
     def numeric_positions(self) -> list[int]:
-        return [t.position for t in self.tokens if t.is_number]
+        return [i for i, t in enumerate(self.tokens) if t.is_number]
 
 
 def _parse_number(chunk: str, stripped: str) -> float | None:
@@ -57,14 +59,13 @@ def _parse_number(chunk: str, stripped: str) -> float | None:
     return -value if lead.endswith("-") else value
 
 
-def _token(surface: str, word: str, position: int) -> Token:
+def _token(surface: str, word: str) -> Token:
     value = _parse_number(surface, word) if word else None
     return Token(
         surface=surface,
         normalized=word.lower() if word else surface.lower(),
         is_number=value is not None,
         numeric_value=value,
-        position=position,
     )
 
 
@@ -89,14 +90,10 @@ def tokenize(text: str) -> TokenizedRequirement:
         unit = stripped[:1].isdigit() and _UNIT_SUFFIXED_RE.fullmatch(stripped)
         if unit and NUMBER_RE.match(unit[1]) and unit[2].lower() not in _ORDINAL_SUFFIXES:
             cut = chunk.index(stripped) + len(unit[1])
-            tokens.append(_token(chunk[:cut], unit[1], len(tokens)))
+            tokens.append(_token(chunk[:cut], unit[1]))
             chunk, stripped = chunk[cut:], unit[2]
-        tokens.append(_token(chunk, stripped, len(tokens)))
+        tokens.append(_token(chunk, stripped))
     return TokenizedRequirement(raw=text, tokens=tuple(tokens))
-
-
-def detokenize(req: TokenizedRequirement) -> str:
-    return " ".join(req.normalized)
 
 
 def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
@@ -106,13 +103,11 @@ def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
     governed main verb), or the first three tokens when no modal is found;
     always cut before any numeric token so no expectation leaks across.
     """
-    end = None
-    for tok in tokens[:limit]:
+    end = 3
+    for i, tok in enumerate(tokens[:limit]):
         if tok.normalized in DEFAULT_PREFIX_VERBS:
-            end = tok.position + 2
+            end = i + 2
             break
-    if end is None:
-        end = 3
     end = min(end, limit)
     prefix = []
     for tok in tokens[:end]:
@@ -122,14 +117,20 @@ def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
     return prefix
 
 
+def _part(tokens: tuple[Token, ...]) -> TokenizedRequirement:
+    return TokenizedRequirement(" ".join(t.surface for t in tokens), tokens)
+
+
 def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
     """Split a requirement holding two expectation points into one each.
 
     Looks for a coordinating connective strictly between two numeric
     tokens (either a standalone connective token, or trailing ','/';'
     punctuation on a word) and splits there, copying the subject prefix of
-    the first clause onto the second.  Requirements with fewer than two
-    numeric tokens come back unchanged as a singleton list.
+    the first clause onto the second.  Each part holds the requirement's
+    own tokens, and its `raw` is their surfaces joined by single spaces.
+    Requirements with fewer than two numeric tokens come back unchanged as
+    a singleton list.
     """
     nums = req.numeric_positions
     if len(nums) < 2:
@@ -144,10 +145,6 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
                 continue
             first_end = c if standalone else c + 1
             prefix = _subject_prefix(req.tokens, first_end)
-            part1 = [t.surface for t in req.tokens[:first_end]]
-            part2 = [t.surface for t in prefix] + [
-                t.surface for t in req.tokens[c + 1 :]
-            ]
-            return [tokenize(" ".join(part1)), tokenize(" ".join(part2))]
+            return [_part(req.tokens[:first_end]), _part((*prefix, *req.tokens[c + 1 :]))]
 
     return [req]

@@ -111,6 +111,16 @@ class TestClassify:
             ["2", "1", "NA", "NA", "NA"],
         ]
 
+    def test_line_no_counts_skipped_blank_lines(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should respond in 5 seconds\n\nzzz qqq\n", encoding="utf-8")
+        code, stdout, _ = run(
+            capsys, ["classify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in stdout.strip().splitlines()[1:]]
+        assert [row[:3] for row in rows] == [["1", "1", "E"], ["3", "1", "NA"]]
+
     def test_empty_input_header_only(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"
         inp.write_text("", encoding="utf-8")
@@ -195,6 +205,18 @@ class TestQuantify:
         assert code == 0
         assert stdout.strip() == "null"
         assert "no pattern matched" in stderr
+
+    def test_line_numbers_count_skipped_blank_lines(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should response in 2 seconds\n\nzzz qqq\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            ["quantify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)],
+        )
+        assert code == 0
+        assert stdout.strip().splitlines()[1] == "null"
+        assert "line 3: no pattern matched 'zzz qqq'" in stderr
+        assert "line 2" not in stderr
 
     def test_bad_line_emits_error_record_and_batch_continues(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"

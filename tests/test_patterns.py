@@ -1,10 +1,10 @@
 import pytest
 
-from perfquant import ClassLabel, Pattern, extract_pattern, load_patterns, save_patterns
+from perfquant import ClassLabel, Pattern, extract_pattern, load_patterns
 from perfquant.data import path as data_path
 from perfquant.errors import NoExtractableSpan, PatternParseError, UnknownLabelCode
 from perfquant.matching import NEGATIONS
-from perfquant.patterns import PLACEHOLDER, PatternKB
+from perfquant.patterns import PLACEHOLDER, PatternKB, format_patterns
 from perfquant.text import tokenize
 
 
@@ -67,8 +67,8 @@ class TestLoadSave:
         kb = load_patterns(data_path("patterns.tsv"))
         first = tmp_path / "a.tsv"
         second = tmp_path / "b.tsv"
-        save_patterns(kb, first)
-        save_patterns(load_patterns(first), second)
+        first.write_text(format_patterns(kb), encoding="utf-8")
+        second.write_text(format_patterns(load_patterns(first)), encoding="utf-8")
         assert first.read_bytes() == second.read_bytes()
 
     def test_bundled_patterns_parse_with_valid_labels(self, bundled_kb):
