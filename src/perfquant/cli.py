@@ -8,7 +8,7 @@ import os
 import sys
 import tempfile
 
-from .errors import PerfQuantError
+from .errors import InvalidArgument, PerfQuantError
 from .evaluation import (
     BootstrapResult,
     bootstrap_eval,
@@ -90,6 +90,8 @@ def _parse_bounds(raw: str) -> tuple[float, float]:
 
 
 def run_quantify(args: argparse.Namespace) -> int:
+    if args.samples < 0:
+        raise InvalidArgument(f"--samples must be >= 0, got {args.samples}")
     kb = load_patterns(args.patterns)
     store = load_vectors(args.vectors)
     cfg = MatcherConfig(w=args.w)

@@ -6,7 +6,6 @@ from importlib import resources
 from pathlib import Path
 
 PATTERNS_FILE = "patterns.tsv"
-DIRECTIONS_FILE = "direction_words.tsv"
 VECTORS_FILE = "mini_vectors.txt"
 MINI_CORPUS_FILE = "mini_corpus.csv"
 HOLDOUT_FILE = "holdout.csv"
@@ -32,7 +31,7 @@ def default_store():
     return load_vectors(path(VECTORS_FILE))
 
 
-def default_directions() -> dict:
-    from ..pipeline import load_direction_words
+def default_directions():
+    from ..pipeline import DIRECTION_WORDS
 
-    return load_direction_words(path(DIRECTIONS_FILE))
+    return DIRECTION_WORDS

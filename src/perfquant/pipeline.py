@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .embeddings import VectorStore
-from .errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch, PatternParseError
+from .errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch
 from .matching import MatcherConfig, MatchResult, select
 from .patterns import PatternKB
 from .satisfaction import (
@@ -59,23 +60,6 @@ class QuantificationResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def load_direction_words(path: str | os.PathLike) -> dict[str, MetricDirection]:
-    """word<TAB>min|max, one per line; '#' comments allowed."""
-    lexicon: dict[str, MetricDirection] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            entry = line.strip()
-            if not entry or entry.startswith("#"):
-                continue
-            fields = entry.split("\t")
-            if len(fields) != 2 or fields[1] not in ("min", "max"):
-                raise PatternParseError(
-                    f"{path}:{lineno}: expected 'word<TAB>min|max', got {entry!r}"
-                )
-            lexicon[fields[0].lower()] = MetricDirection(fields[1])
-    return lexicon
-
-
 def classify(
     req_text: str,
     kb: PatternKB,
@@ -90,10 +74,23 @@ def classify(
     ]
 
 
+# metric words and the direction each one favours (`infer_direction`)
+DIRECTION_WORDS: Mapping[str, MetricDirection] = MappingProxyType({
+    **dict.fromkeys((
+        "time latency response respond seconds second ms milliseconds millisecond"
+        " minutes minute hours hour delay downtime overhead watts"
+    ).split(), MetricDirection.MINIMIZE),
+    **dict.fromkeys((
+        "users user throughput requests request transactions transaction sessions"
+        " connections capacity records events samples"
+    ).split(), MetricDirection.MAXIMIZE),
+})
+
+
 def infer_direction(
-    tokens: TokenizedRequirement, lexicon: dict[str, MetricDirection]
+    tokens: TokenizedRequirement, lexicon: Mapping[str, MetricDirection]
 ) -> MetricDirection | None:
-    """Keyword-based direction guess.
+    """Keyword-based direction guess: the first hit in token order decides.
 
     The metric noun usually follows the quantity ("100 users", "2
     seconds"), so tokens after the first number are scanned first; without
@@ -115,7 +112,7 @@ def infer_direction(
 def _resolve_direction(
     request: QuantificationRequest,
     matched: list[PartClassification],
-    lexicon: dict[str, MetricDirection],
+    lexicon: Mapping[str, MetricDirection],
     warnings: list[str],
 ) -> MetricDirection:
     if request.direction is not None:
@@ -157,6 +154,8 @@ def quantify(
     cfg: MatcherConfig | None = None,
 ) -> QuantificationResult:
     """Classify a requirement and compile its satisfaction function."""
+    # looked up on `perfquant.data` per call, so a wrapper put there (the
+    # benchmark tracer's) still sees one call per request
     from .data import default_directions
 
     direction_words = default_directions()

@@ -108,7 +108,6 @@ def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
         if tok.normalized in DEFAULT_PREFIX_VERBS:
             end = i + 2
             break
-    end = min(end, limit)
     prefix = []
     for tok in tokens[:end]:
         if tok.is_number:

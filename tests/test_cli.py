@@ -177,6 +177,20 @@ class TestQuantify:
         assert len(lines) == 1
         json.loads(lines[0])
 
+    def test_negative_samples_exits_2_before_any_output(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should response in 2 seconds\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds", "0,10", "--samples", "-2",
+            ],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "--samples" in stderr
+
     def test_two_point_requirement_interpolates(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"
         inp.write_text(

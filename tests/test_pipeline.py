@@ -1,3 +1,5 @@
+import builtins
+
 import pytest
 
 from perfquant import (
@@ -265,3 +267,48 @@ def test_direction_lexicon_contains_spec_defaults():
         assert lexicon[word] is MetricDirection.MINIMIZE
     for word in ("users", "throughput", "requests", "transactions"):
         assert lexicon[word] is MetricDirection.MAXIMIZE
+
+
+# the 30 entries of the former direction_words.tsv, written out as the oracle
+PARENT_DIRECTION_WORDS = {
+    **{
+        w: MetricDirection.MINIMIZE
+        for w in (
+            "time", "latency", "response", "respond", "seconds", "second", "ms",
+            "milliseconds", "millisecond", "minutes", "minute", "hours", "hour",
+            "delay", "downtime", "overhead", "watts",
+        )
+    },
+    **{
+        w: MetricDirection.MAXIMIZE
+        for w in (
+            "users", "user", "throughput", "requests", "request", "transactions",
+            "transaction", "sessions", "connections", "capacity", "records", "events",
+            "samples",
+        )
+    },
+}
+
+
+def test_direction_lexicon_equals_the_former_word_table():
+    assert len(PARENT_DIRECTION_WORDS) == 30
+    assert dict(default_directions()) == PARENT_DIRECTION_WORDS
+
+
+def test_direction_lexicon_is_one_shared_read_only_mapping():
+    lexicon = default_directions()
+    assert lexicon is default_directions()
+    with pytest.raises(TypeError):
+        lexicon["florps"] = MetricDirection.MAXIMIZE
+    assert "florps" not in default_directions()
+
+
+def test_quantify_opens_no_file(monkeypatch, mini_store, bundled_kb):
+    request = QuantificationRequest(text="The system shall support at least 500 transactions per second")
+    want = quantify(request, bundled_kb, mini_store).function.to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"file opened on the request path: {args[0]!r}")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    assert quantify(request, bundled_kb, mini_store).function.to_json() == want
