@@ -58,7 +58,7 @@ def run_extract(args: argparse.Namespace) -> int:
 
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """The non-blank lines of `path`, each with its line number in the file."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
 
 

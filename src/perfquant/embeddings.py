@@ -69,7 +69,7 @@ class VectorStore:
 def load_vectors(path: str | os.PathLike) -> VectorStore:
     """Read a word2vec text file: header "vocab_size dimension", then one
     word plus `dimension` floats per line."""
-    with open(path, encoding="utf-8") as fh, np.errstate(over="ignore"):
+    with open(path, encoding="utf-8-sig") as fh, np.errstate(over="ignore"):
         header = fh.readline().split()
         if len(header) != 2:
             raise VectorFormatError(f"{path}: header must be 'vocab_size dimension'")

@@ -91,7 +91,7 @@ def load_dataset(path: str | os.PathLike) -> list[LabeledRequirement]:
     direction may be empty."""
     rows: list[LabeledRequirement] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = tuple(reader.fieldnames or ())
         if header != DATASET_COLUMNS:

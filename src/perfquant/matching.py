@@ -137,9 +137,12 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
     then reconstructed inside the chosen window only.
     """
     table = pattern.bitmasks
+    masks = [table.get(word, 0) for word in req.normalized]
     # the placeholder matches any numeric token, regardless of value
     number_bit = table.get(PLACEHOLDER, 0)
-    masks = [table.get(t.normalized, 0) | (number_bit if t.is_number else 0) for t in req.tokens]
+    if number_bit:
+        for j in req.numeric_positions:
+            masks[j] |= number_bit
     starts = [j for j, mask in enumerate(masks) if mask]
     if not starts:
         return LcsResult.empty()
@@ -175,7 +178,7 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
             if number_bit >> pat_i & 1:
                 v_beta = req.tokens[req_j].numeric_value
     return LcsResult(
-        matched_tokens=tuple([req.tokens[j].normalized for j in positions]),
+        matched_tokens=tuple([req.normalized[j] for j in positions]),
         matched_positions=tuple(positions),
         length=len(positions),
         first_index=positions[0],
@@ -232,8 +235,8 @@ def apply_negation(
     """
     matched_positions = set(result.matched_positions)
     req_negated = any(
-        tok.normalized in NEGATIONS and i not in matched_positions
-        for i, tok in enumerate(req.tokens)
+        word in NEGATIONS and i not in matched_positions
+        for i, word in enumerate(req.normalized)
     )
     matched_words = set(result.matched_tokens)
     pattern_negated = any(t in NEGATIONS and t not in matched_words for t in pattern.tokens)
@@ -252,9 +255,8 @@ def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dic
     _SEM_CEILING, cfg) in the same float operations, in the same order.
     """
     postings = kb.postings
-    words = {t.normalized for t in req.tokens}
-    reach = Counter(chain.from_iterable(postings.get(t, ()) for t in words))
-    number = any(t.is_number for t in req.tokens)
+    reach = Counter(chain.from_iterable(postings.get(t, ()) for t in set(req.normalized)))
+    number = bool(req.numeric_positions)
     lengths, flags = kb.lengths, kb.placeholder_flags
     w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
     return {i: w * ((r + number * flags[i]) / lengths[i]) + c for i, r in reach.items()}
@@ -272,10 +274,10 @@ def _prefix_bounds(
     pattern holds its rarest word, so only the patterns of
     `PatternKB.rarest` for the requirement's words are tested.
     """
-    words = {t.normalized for t in req.tokens}
+    words = set(req.normalized)
     # the placeholder's position is reached by a number, never by a word
     words.discard(PLACEHOLDER)
-    if any(t.is_number for t in req.tokens):
+    if req.numeric_positions:
         words.add(PLACEHOLDER)
     w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
     longest = kb.longest

@@ -156,7 +156,7 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
 def load_patterns(path: str | os.PathLike) -> PatternKB:
     """Load a pattern TSV."""
     patterns = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             entry = line.rstrip("\n")
             if not entry.strip() or entry.lstrip().startswith("#"):

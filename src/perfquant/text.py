@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 from .errors import EmptyInput
 
@@ -21,52 +23,50 @@ DEFAULT_CONNECTIVES = ("and", "or", "while", ";", ",")
 DEFAULT_PREFIX_VERBS = ("shall", "should", "must", "will", "can")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     normalized: str
     is_number: bool
     numeric_value: float | None
 
 
+# Token(*fields) without NamedTuple's Python-level __new__, at about half
+# the cost: tokenize builds one per word
+_make_token = partial(tuple.__new__, Token)
+
+
 @dataclass(frozen=True)
 class TokenizedRequirement:
     """A requirement's text and its tokens; a token's position is its
-    index in `tokens`."""
+    index in `tokens`.
+
+    Two tuple views are computed once, on construction: `normalized`, each
+    token's normalized form, and `numeric_positions`, the positions of the
+    numeric tokens.
+    """
 
     raw: str
     tokens: tuple[Token, ...]
+    normalized: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    numeric_positions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tokens = self.tokens
+        object.__setattr__(self, "normalized", tuple([t.normalized for t in tokens]))
+        object.__setattr__(
+            self, "numeric_positions", tuple([i for i, t in enumerate(tokens) if t.is_number])
+        )
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def normalized(self) -> list[str]:
-        return [t.normalized for t in self.tokens]
 
-    @property
-    def numeric_positions(self) -> list[int]:
-        return [i for i, t in enumerate(self.tokens) if t.is_number]
-
-
-def _parse_number(chunk: str, stripped: str) -> float | None:
-    """The number `stripped` spells, negated when a '-' directly precedes it
-    in `chunk`."""
-    if not NUMBER_RE.match(stripped):
-        return None
-    value = float(stripped.replace(",", ""))
-    lead = chunk[: len(chunk) - len(chunk.lstrip(string.punctuation))]
-    return -value if lead.endswith("-") else value
-
-
-def _token(surface: str, word: str) -> Token:
-    value = _parse_number(surface, word) if word else None
-    return Token(
-        surface=surface,
-        normalized=word.lower() if word else surface.lower(),
-        is_number=value is not None,
-        numeric_value=value,
-    )
+def _number(surface: str, digits: str) -> Token:
+    """The number token of `digits`, which `NUMBER_RE` matches, negated when
+    a '-' directly precedes the digits in `surface`."""
+    value = float(digits.replace(",", ""))
+    lead = surface[: len(surface) - len(surface.lstrip(string.punctuation))]
+    return _make_token((surface, digits.lower(), True, -value if lead.endswith("-") else value))
 
 
 def tokenize(text: str) -> TokenizedRequirement:
@@ -81,19 +81,36 @@ def tokenize(text: str) -> TokenizedRequirement:
     suffix.  A token consisting only of punctuation (a lone ";" or ",")
     keeps its surface as the normalized form so connectives stay
     matchable.
+
+    Only a chunk whose stripped form starts with a digit (`str.isdigit`,
+    which accepts every character the pattern's `\\d` does) is tested
+    against `NUMBER_RE`; any other chunk is a word.
+
+    A numeral beyond the float range parses to an infinity ("1e309", a
+    400-digit integer -> inf, "-1e309" -> -inf), and one too small for it
+    underflows to 0.0 ("1e-400").
     """
     if not text.strip():
         raise EmptyInput("requirement text is empty")
     tokens: list[Token] = []
     for chunk in text.split():
         stripped = chunk.strip(string.punctuation)
-        unit = stripped[:1].isdigit() and _UNIT_SUFFIXED_RE.fullmatch(stripped)
-        if unit and NUMBER_RE.match(unit[1]) and unit[2].lower() not in _ORDINAL_SUFFIXES:
+        if not stripped[:1].isdigit():
+            tokens.append(_make_token((chunk, (stripped or chunk).lower(), False, None)))
+        elif NUMBER_RE.match(stripped):
+            tokens.append(_number(chunk, stripped))
+        elif (
+            (unit := _UNIT_SUFFIXED_RE.fullmatch(stripped))
+            and NUMBER_RE.match(unit[1])
+            and unit[2].lower() not in _ORDINAL_SUFFIXES
+        ):
+            # a unit holds no digit, so it is a word
             cut = chunk.index(stripped) + len(unit[1])
-            tokens.append(_token(chunk[:cut], unit[1]))
-            chunk, stripped = chunk[cut:], unit[2]
-        tokens.append(_token(chunk, stripped))
-    return TokenizedRequirement(raw=text, tokens=tuple(tokens))
+            tail = _make_token((chunk[cut:], unit[2].lower(), False, None))
+            tokens += (_number(chunk[:cut], unit[1]), tail)
+        else:
+            tokens.append(_make_token((chunk, stripped.lower(), False, None)))
+    return TokenizedRequirement(text, tuple(tokens))
 
 
 def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
@@ -117,7 +134,7 @@ def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
 
 
 def _part(tokens: tuple[Token, ...]) -> TokenizedRequirement:
-    return TokenizedRequirement(" ".join(t.surface for t in tokens), tokens)
+    return TokenizedRequirement(" ".join([t.surface for t in tokens]), tokens)
 
 
 def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
@@ -137,9 +154,8 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
 
     for a, b in zip(nums, nums[1:]):
         for c in range(a + 1, b):
-            tok = req.tokens[c]
-            standalone = tok.normalized in DEFAULT_CONNECTIVES
-            attached = not standalone and tok.surface[-1] in ",;"
+            standalone = req.normalized[c] in DEFAULT_CONNECTIVES
+            attached = not standalone and req.tokens[c].surface[-1] in ",;"
             if not (standalone or attached):
                 continue
             first_end = c if standalone else c + 1

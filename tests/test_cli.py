@@ -121,6 +121,30 @@ class TestClassify:
         rows = [line.split("\t") for line in stdout.strip().splitlines()[1:]]
         assert [row[:3] for row in rows] == [["1", "1", "E"], ["3", "1", "NA"]]
 
+    def test_byte_order_mark_line_classifies_like_the_plain_line(self, capsys, tmp_path):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            inp = tmp_path / f"{encoding}.txt"
+            inp.write_text("within 5 seconds\nwithin 5 seconds\n", encoding=encoding)
+            code, stdout, _ = run(
+                capsys, ["classify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+            )
+            assert code == 0
+            outputs.append(stdout)
+        rows = [line.split("\t") for line in outputs[1].strip().splitlines()[1:]]
+        assert [row[:5] for row in rows] == [["1", "1", "E", "S", "5"], ["2", "1", "E", "S", "5"]]
+        assert outputs[1] == outputs[0]
+
+    def test_numeral_past_the_float_range_prints_an_infinite_v_beta(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("within 1e309 seconds\nwithin -1e309 seconds\n", encoding="utf-8")
+        code, stdout, _ = run(
+            capsys, ["classify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in stdout.strip().splitlines()[1:]]
+        assert [row[:5] for row in rows] == [["1", "1", "E", "S", "inf"], ["2", "1", "E", "S", "-inf"]]
+
     def test_empty_input_header_only(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"
         inp.write_text("", encoding="utf-8")
@@ -219,6 +243,29 @@ class TestQuantify:
         assert code == 0
         assert stdout.strip() == "null"
         assert "no pattern matched" in stderr
+
+    def test_byte_order_mark_line_quantifies_like_the_plain_line(self, capsys, tmp_path):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            inp = tmp_path / f"{encoding}.txt"
+            inp.write_text("within 5 seconds\n", encoding=encoding)
+            outputs.append(run(
+                capsys, ["quantify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+            ))
+        assert outputs[1] == outputs[0]
+        code, stdout, _ = outputs[1]
+        assert code == 0 and json.loads(stdout)["segments"][0]["v_hi"] == 5.0
+
+    def test_numeral_past_the_float_range_prints_null_and_batch_continues(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("within 1e309 seconds\nwithin 5 seconds\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, ["quantify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+        )
+        assert code == 0
+        lines = stdout.strip().splitlines()
+        assert lines[0] == "null" and json.loads(lines[1])["segments"][0]["v_hi"] == 5.0
+        assert stderr.strip() == "line 1: expectation inf is too large to derive bounds"
 
     def test_line_numbers_count_skipped_blank_lines(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"

@@ -32,6 +32,12 @@ class TestLoadVectors:
         assert len(store) == 3
         assert np.allclose(store.get("c"), [1.0, 1.0])
 
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("2 2\na 1 0\nb 0 1\n", encoding="utf-8-sig")
+        store = load_vectors(f)
+        assert (store.dimension, sorted(store.entries)) == (2, ["a", "b"])
+
     def test_component_count_mismatch(self, tmp_path):
         f = tmp_path / "v.txt"
         f.write_text("2 2\na 1 0\nb 0 1 1\n", encoding="utf-8")

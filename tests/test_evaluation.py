@@ -45,6 +45,16 @@ class TestLoadDataset:
         assert rows[1].text == "handle 1,000 users"
         assert rows[2].gold_v_beta is None and rows[2].direction is None
 
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "id,text,left,right,v_beta,direction\nr1,respond in 2 seconds,E,S,2,min\n",
+            encoding="utf-8-sig",
+        )
+        assert [(r.id, r.text, r.gold) for r in load_dataset(f)] == [
+            ("r1", "respond in 2 seconds", A)
+        ]
+
     def test_bad_label_code_reports_row(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(

@@ -63,6 +63,11 @@ class TestLoadSave:
         with pytest.raises(PatternParseError, match=":1"):
             load_patterns(f)
 
+    def test_byte_order_mark_is_not_read_as_pattern_text(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_text("within <N>\tE\tS\n", encoding="utf-8-sig")
+        assert [p.tokens for p in load_patterns(f).patterns] == [("within", PLACEHOLDER)]
+
     def test_save_load_roundtrip_is_byte_stable(self, tmp_path):
         kb = load_patterns(data_path("patterns.tsv"))
         first = tmp_path / "a.tsv"

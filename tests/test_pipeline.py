@@ -1,4 +1,5 @@
 import builtins
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from perfquant import (
 from perfquant.data import default_directions
 from perfquant.errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch
 from perfquant.patterns import PLACEHOLDER, PatternKB
+from perfquant.text import tokenize
 
 
 def label(codes):
@@ -253,6 +255,34 @@ def test_expectation_too_large_for_default_bounds_raises(number, mini_store, bun
             bundled_kb,
             mini_store,
         )
+
+
+# a numeral past the float range parses to an infinity: classify reports
+# it, quantify cannot bound it
+@pytest.mark.parametrize(
+    "numeral, value",
+    [("1e309", math.inf), ("1" * 400, math.inf), ("-1e309", -math.inf)],
+    ids=["1e309", "400-digits", "-1e309"],
+)
+def test_numeral_past_the_float_range_is_an_infinite_expectation(
+    numeral, value, mini_store, bundled_kb
+):
+    text = f"The system shall respond within {numeral} seconds"
+    assert tokenize(text).tokens[5].numeric_value == value
+    [part] = classify(text, bundled_kb, mini_store)
+    assert part.label == label("ES") and part.v_beta == value
+    with pytest.raises(ExpectationOutOfBounds):
+        quantify(QuantificationRequest(text=text), bundled_kb, mini_store)
+
+
+def test_numeral_below_the_float_range_underflows_to_zero(mini_store, bundled_kb):
+    text = "The system shall respond within 1e-400 seconds"
+    token = tokenize(text).tokens[5]
+    assert token.is_number and repr(token.numeric_value) == "0.0"
+    result = quantify(QuantificationRequest(text=text), bundled_kb, mini_store)
+    assert [v_beta for _, _, v_beta, _ in result.parts] == [0.0]
+    assert result.function.bounds == (0.0, 1.0)
+    assert result.warnings == ["no usable expectation point; defaulting bounds to (0, 1)"]
 
 
 @pytest.mark.parametrize("bounds", [(0, float("inf")), (float("-inf"), 1), (0, float("nan"))])
