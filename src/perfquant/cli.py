@@ -83,10 +83,11 @@ def run_classify(args: argparse.Namespace) -> int:
 
 
 def _parse_bounds(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise PerfQuantError(f"--bounds expects 'lo,hi', got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, raw.split(","))
+    except ValueError as exc:
+        raise InvalidArgument(f"--bounds expects two numbers 'lo,hi', got {raw!r}") from exc
+    return lo, hi
 
 
 def run_quantify(args: argparse.Namespace) -> int:

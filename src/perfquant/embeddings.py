@@ -118,7 +118,9 @@ def sentence_vector(store: VectorStore, tokens: list[str]) -> np.ndarray:
         raise ValueError("sentence_vector needs at least one token")
     vectors = []
     for token in tokens:
-        key = NUMBER_WORD if token == PLACEHOLDER or NUMBER_RE.match(token) else token
+        # `NUMBER_RE` starts with \d, and `str.isdigit` accepts every \d character
+        numeric = token == PLACEHOLDER or (token[:1].isdigit() and NUMBER_RE.match(token))
+        key = NUMBER_WORD if numeric else token
         vec = store.entries.get(key)
         if vec is not None:
             vectors.append(vec)

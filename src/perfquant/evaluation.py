@@ -8,6 +8,7 @@ import numbers
 import os
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -145,25 +146,22 @@ def weighted_metrics(
         raise EmptyInput("no labels to score")
 
     n = len(golds)
-    classes = sorted({g for g in golds}, key=lambda c: c.codes)
+    supports, predicted = Counter(golds), Counter(preds)
+    hits = Counter(g for g, p in zip(golds, preds) if g == p)
     per_class: dict[ClassLabel, ClassMetrics] = {}
     wp = wr = wf1 = 0.0
-    for cls in classes:
-        tp = sum(1 for g, p in zip(golds, preds) if g == cls and p == cls)
-        fp = sum(1 for g, p in zip(golds, preds) if g != cls and p == cls)
-        support = sum(1 for g in golds if g == cls)
-        undefined = (tp + fp) == 0
-        precision = tp / (tp + fp) if tp + fp else 0.0
+    for cls in sorted(supports, key=lambda c: c.codes):
+        tp, support, n_pred = hits[cls], supports[cls], predicted[cls]
+        precision = tp / n_pred if n_pred else 0.0
         recall = tp / support
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[cls] = ClassMetrics(precision, recall, f1, support, undefined)
+        per_class[cls] = ClassMetrics(precision, recall, f1, support, n_pred == 0)
         weight = support / n
         wp += weight * precision
         wr += weight * recall
         wf1 += weight * f1
 
-    n_nomatch = sum(1 for p in preds if p is None)
-    return MetricsReport(wp, wr, wf1, per_class, n, n_nomatch)
+    return MetricsReport(wp, wr, wf1, per_class, n, predicted[None])
 
 
 def extract_patterns(rows: list[LabeledRequirement]) -> list[Pattern]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .embeddings import VectorStore, cosine, sentence_vector
-from .errors import EmptyKB
+from .errors import EmptyKB, InvalidArgument
 from .patterns import PLACEHOLDER, STOPWORDS, Pattern, PatternKB
 from .satisfaction import ClassLabel
 from .text import DEFAULT_PREFIX_VERBS, TokenizedRequirement
@@ -58,7 +58,11 @@ class MatcherConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"weight w must lie in [0, 1], got {self.w}")
+            raise InvalidArgument(f"weight w must lie in [0, 1], got {self.w}")
+
+
+# MatcherConfig is frozen, so calls that pass no config share this one
+_DEFAULT_CONFIG = MatcherConfig()
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,11 @@ class MatchResult:
         return self.lcs.v_beta
 
 
-def _reconstruct(masks: list[int], m: int, a: int, b: int) -> tuple[list[int], list[int]]:
-    """Pattern and requirement indices, in order, of one LCS inside [a, b].
+def _reconstruct(
+    masks: list[int], m: int, a: int, b: int, number_bit: int
+) -> tuple[list[int], int | None]:
+    """Requirement indices, in order, of one LCS inside [a, b], and the
+    index paired with the placeholder's bit `number_bit` (None when unpaired).
 
     The scan of `lcs` is replayed over the window, keeping V after each
     token: the DP cell for pattern prefix i and window prefix j is
@@ -93,25 +100,25 @@ def _reconstruct(masks: list[int], m: int, a: int, b: int) -> tuple[list[int], l
         if u:
             v = (v + u) | (v - u)
         states.append(v)
-    pattern_indices: list[int] = []
     req_indices: list[int] = []
+    number_at = None
     i, j = m, b - a + 1
     while i > 0 and j > 0:
         bit = 1 << (i - 1)
         if masks[a + j - 1] & bit:
             i -= 1
             j -= 1
-            pattern_indices.append(i)
             req_indices.append(a + j)
+            if bit == number_bit:
+                number_at = a + j
         elif (i - 1) - (states[j] & (bit - 1)).bit_count() >= i - (
             states[j - 1] & (bit | (bit - 1))
         ).bit_count():
             i -= 1
         else:
             j -= 1
-    pattern_indices.reverse()
     req_indices.reverse()
-    return pattern_indices, req_indices
+    return req_indices, number_at
 
 
 def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
@@ -171,19 +178,14 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
                     a, b = start, j
                     break
 
-    pattern_indices, positions = _reconstruct(masks, m, a, b)
-    v_beta = None
-    if number_bit:
-        for pat_i, req_j in zip(pattern_indices, positions):
-            if number_bit >> pat_i & 1:
-                v_beta = req.tokens[req_j].numeric_value
+    positions, number_at = _reconstruct(masks, m, a, b, number_bit)
     return LcsResult(
         matched_tokens=tuple([req.normalized[j] for j in positions]),
         matched_positions=tuple(positions),
         length=len(positions),
         first_index=positions[0],
         last_index=positions[-1],
-        v_beta=v_beta,
+        v_beta=None if number_at is None else req.tokens[number_at].numeric_value,
     )
 
 
@@ -312,8 +314,6 @@ def _best(
             break
         pattern = kb.patterns[index]
         result = lcs(pattern, req)
-        if result.length == 0:
-            continue
         if result.length == 1 and result.v_beta is not None:
             # the placeholder alone matched: a bare number shared with any
             # numeric requirement carries no structural signal
@@ -383,7 +383,7 @@ def select(
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
-    cfg = cfg or MatcherConfig()
+    cfg = cfg or _DEFAULT_CONFIG
 
     first, cap = _prefix_bounds(kb, req, cfg)
     best = _best(kb, store, req, cfg, first, None)

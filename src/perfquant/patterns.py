@@ -12,8 +12,6 @@ from .text import TokenizedRequirement
 
 PLACEHOLDER = "<N>"
 
-LABEL_CODES = frozenset("GSE")
-
 # seed lexicon of complement words that introduce an expectation point;
 # negators are included so strict forms like "no more than" extract as
 # whole patterns with the negation inside
@@ -58,10 +56,6 @@ class Pattern:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-    @property
-    def has_placeholder(self) -> bool:
-        return PLACEHOLDER in self.tokens
 
     @cached_property
     def bitmasks(self) -> dict[str, int]:
@@ -129,7 +123,7 @@ class PatternKB:
     @cached_property
     def placeholder_flags(self) -> tuple[int, ...]:
         """1 for each pattern holding the placeholder, else 0."""
-        return tuple(int(p.has_placeholder) for p in self.patterns)
+        return tuple(int(PLACEHOLDER in p.tokens) for p in self.patterns)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -142,13 +136,17 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
             f"{where}: expected 'pattern<TAB>L<TAB>R', got {len(fields)} field(s)"
         )
     text, left, right = (f.strip() for f in fields)
-    if left.upper() not in LABEL_CODES or right.upper() not in LABEL_CODES:
-        raise UnknownLabelCode(f"{where}: label codes must be G, S or E, got {left!r}/{right!r}")
+    try:
+        label = ClassLabel.from_codes(left, right)
+    except ValueError as exc:
+        raise UnknownLabelCode(
+            f"{where}: label codes must be G, S or E, got {left!r}/{right!r}"
+        ) from exc
     tokens = tuple(t if t == PLACEHOLDER else t.lower() for t in text.split())
     if not tokens:
         raise PatternParseError(f"{where}: empty pattern text")
     try:
-        return Pattern(tokens, ClassLabel.from_codes(left, right))
+        return Pattern(tokens, label)
     except ValueError as exc:
         raise PatternParseError(f"{where}: {exc}") from exc
 
@@ -180,17 +178,16 @@ def extract_pattern(
     placeholder) becomes the pattern.  Without a reachable number, the span from the last
     modal/verb anchor to the last non-stopword is used instead.
     """
-    tokens = req.tokens
+    tokens, words = req.tokens, req.normalized
 
     for number in req.numeric_positions:
         start = number
-        while start - 1 >= 0 and tokens[start - 1].normalized in DEFAULT_COMPLEMENTS:
+        while start - 1 >= 0 and words[start - 1] in DEFAULT_COMPLEMENTS:
             start -= 1
         if start < number:
-            words = [t.normalized for t in tokens[start:number]]
-            return Pattern(tuple(words + [PLACEHOLDER]), label, source_id)
+            return Pattern((*words[start:number], PLACEHOLDER), label, source_id)
 
-    anchors = [i for i, t in enumerate(tokens) if t.normalized in EXTRACT_VERBS]
+    anchors = [i for i, word in enumerate(words) if word in EXTRACT_VERBS]
     if not anchors:
         raise NoExtractableSpan(f"no anchor found in {req.raw!r}")
     start = anchors[-1]
@@ -202,5 +199,5 @@ def extract_pattern(
     end = content[-1] if content else -1
     if end <= start:
         raise NoExtractableSpan(f"no span after anchor in {req.raw!r}")
-    words = [t.normalized for t in tokens[start : end + 1] if not t.is_number]
-    return Pattern(tuple(words), label, source_id)
+    span = [t.normalized for t in tokens[start : end + 1] if not t.is_number]
+    return Pattern(tuple(span), label, source_id)

@@ -7,6 +7,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from . import data
 from .embeddings import VectorStore
 from .errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch
 from .matching import MatcherConfig, MatchResult, select
@@ -96,14 +97,9 @@ def infer_direction(
     seconds"), so tokens after the first number are scanned first; without
     a hit there the whole part is scanned in order.
     """
-    nums = tokens.numeric_positions
-    if nums:
-        for tok in tokens.tokens[nums[0] + 1 :]:
-            hit = lexicon.get(tok.normalized)
-            if hit is not None:
-                return hit
-    for tok in tokens.tokens:
-        hit = lexicon.get(tok.normalized)
+    words, nums = tokens.normalized, tokens.numeric_positions
+    for word in (words[nums[0] + 1 :] if nums else ()) + words:
+        hit = lexicon.get(word)
         if hit is not None:
             return hit
     return None
@@ -132,16 +128,16 @@ def _resolve_direction(
 
 def _resolve_bounds(
     request: QuantificationRequest,
-    matched: list[PartClassification],
+    with_beta: list[PartClassification],
     warnings: list[str],
 ) -> tuple[float, float]:
     if request.bounds is not None:
         return request.bounds
-    betas = [p.v_beta for p in matched if p.v_beta is not None]
-    if betas and max(betas) > 0:
-        hi = 2.0 * max(betas)
+    top = max((p.v_beta for p in with_beta), default=0.0)
+    if top > 0:
+        hi = 2.0 * top
         if not math.isfinite(hi):
-            raise ExpectationOutOfBounds(f"expectation {max(betas)} is too large to derive bounds")
+            raise ExpectationOutOfBounds(f"expectation {top} is too large to derive bounds")
         return (0.0, hi)
     warnings.append("no usable expectation point; defaulting bounds to (0, 1)")
     return (0.0, 1.0)
@@ -156,9 +152,7 @@ def quantify(
     """Classify a requirement and compile its satisfaction function."""
     # looked up on `perfquant.data` per call, so a wrapper put there (the
     # benchmark tracer's) still sees one call per request
-    from .data import default_directions
-
-    direction_words = default_directions()
+    direction_words = data.default_directions()
 
     warnings: list[str] = []
     parts = classify(request.text, kb, store, cfg)
@@ -169,23 +163,20 @@ def quantify(
     if not matched:
         raise NoMatch(f"no pattern matched {request.text!r}")
 
-    direction = _resolve_direction(request, matched, direction_words, warnings)
-    bounds = _resolve_bounds(request, matched, warnings)
-
     with_beta = [p for p in matched if p.v_beta is not None]
-    if len(with_beta) == 2:
-        function = combine([(p.label, p.v_beta) for p in with_beta], bounds, direction)
-    else:
-        kept = with_beta[0] if with_beta else matched[0]
-        for p in matched:
-            if p is not kept:
-                warnings.append(
-                    f"part {p.text!r} lacks an expectation point; quantified without it"
-                )
-        function = compile_single(kept.label, kept.v_beta, bounds, direction)
-        matched = [kept]
+    direction = _resolve_direction(request, matched, direction_words, warnings)
+    bounds = _resolve_bounds(request, with_beta, warnings)
 
-    outcome = [
-        (p.text, p.label, p.v_beta, p.match.fused if p.match else 0.0) for p in matched
-    ]
+    kept = with_beta or matched[:1]
+    for p in matched:
+        if p.v_beta is None and p is not kept[0]:
+            warnings.append(
+                f"part {p.text!r} lacks an expectation point; quantified without it"
+            )
+    if with_beta:
+        function = combine([(p.label, p.v_beta) for p in kept], bounds, direction)
+    else:
+        function = compile_single(kept[0].label, None, bounds, direction)
+
+    outcome = [(p.text, p.label, p.v_beta, p.match.fused) for p in kept]
     return QuantificationResult(parts=outcome, function=function, warnings=warnings)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ExpectationOutOfBounds, MissingExpectation
+from .errors import ExpectationOutOfBounds, InvalidArgument, MissingExpectation
 
 
 class MetricDirection(Enum):
@@ -225,11 +225,11 @@ def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
     """The metric bounds (lo, hi), checked to be finite with lo < hi and hi - lo finite."""
     lo, hi = bounds
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
+        raise InvalidArgument(f"bounds must be finite, got ({lo}, {hi})")
     if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
+        raise InvalidArgument(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
     if not math.isfinite(hi - lo):
-        raise ValueError(f"bounds width hi - lo must be finite, got ({lo}, {hi})")
+        raise InvalidArgument(f"bounds width hi - lo must be finite, got ({lo}, {hi})")
     return lo, hi
 
 

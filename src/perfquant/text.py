@@ -113,24 +113,16 @@ def tokenize(text: str) -> TokenizedRequirement:
     return TokenizedRequirement(text, tuple(tokens))
 
 
-def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
+def _subject_prefix(req: TokenizedRequirement, limit: int) -> tuple[Token, ...]:
     """Shared subject prefix copied onto the second split part.
 
-    Extends through the first modal verb plus the token after it (the
-    governed main verb), or the first three tokens when no modal is found;
-    always cut before any numeric token so no expectation leaks across.
+    Extends through the first modal verb before `limit` plus the token after
+    it (the governed main verb), else over the first three tokens; always cut
+    before the first number, which `req` must hold, so no expectation leaks.
     """
-    end = 3
-    for i, tok in enumerate(tokens[:limit]):
-        if tok.normalized in DEFAULT_PREFIX_VERBS:
-            end = i + 2
-            break
-    prefix = []
-    for tok in tokens[:end]:
-        if tok.is_number:
-            break
-        prefix.append(tok)
-    return prefix
+    words = req.normalized[:limit]
+    end = next((i + 2 for i, word in enumerate(words) if word in DEFAULT_PREFIX_VERBS), 3)
+    return req.tokens[: min(end, req.numeric_positions[0])]
 
 
 def _part(tokens: tuple[Token, ...]) -> TokenizedRequirement:
@@ -149,9 +141,6 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
     a singleton list.
     """
     nums = req.numeric_positions
-    if len(nums) < 2:
-        return [req]
-
     for a, b in zip(nums, nums[1:]):
         for c in range(a + 1, b):
             standalone = req.normalized[c] in DEFAULT_CONNECTIVES
@@ -159,7 +148,7 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
             if not (standalone or attached):
                 continue
             first_end = c if standalone else c + 1
-            prefix = _subject_prefix(req.tokens, first_end)
+            prefix = _subject_prefix(req, first_end)
             return [_part(req.tokens[:first_end]), _part((*prefix, *req.tokens[c + 1 :]))]
 
     return [req]

@@ -1,6 +1,8 @@
 import json
 
-from perfquant.cli import main
+import pytest
+
+from perfquant.cli import _parse_bounds, main
 from perfquant.data import (
     HOLDOUT_FILE,
     MINI_CORPUS_FILE,
@@ -8,6 +10,7 @@ from perfquant.data import (
     VECTORS_FILE,
     path as data_path,
 )
+from perfquant.errors import PerfQuantError
 
 CORPUS = str(data_path(MINI_CORPUS_FILE))
 HOLDOUT = str(data_path(HOLDOUT_FILE))
@@ -315,6 +318,25 @@ class TestQuantify:
         assert code == 2
         assert stdout == ""
         assert "finite" in stderr
+
+    @pytest.mark.parametrize("bounds", ["a,b", "0,ten", "1", "0,1,2"])
+    def test_malformed_bounds_exit_2_naming_the_option(self, capsys, tmp_path, bounds):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should response in 2 seconds\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds", bounds,
+            ],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: --bounds expects two numbers 'lo,hi', got {bounds!r}\n"
+
+    def test_malformed_bounds_raise_the_package_error(self):
+        with pytest.raises(PerfQuantError, match="--bounds"):
+            _parse_bounds("a,b")
 
     def test_overflowing_bounds_width_exit_2_before_output(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import perfquant.embeddings as embeddings_module
 from perfquant import (
     ClassLabel,
     Pattern,
@@ -141,6 +142,28 @@ class TestSentenceVector:
         assert np.allclose(sentence_vector(store, ["<N>"]), [2.0, 2.0])
         assert np.allclose(sentence_vector(store, ["1,000"]), [2.0, 2.0])
         assert np.allclose(sentence_vector(store, ["15"]), [2.0, 2.0])
+
+    def test_only_digit_led_tokens_are_tested_against_the_number_pattern(
+        self, make_store, monkeypatch
+    ):
+        """`NUMBER_RE` starts with a digit, so a token that does not is
+        never matched against it; numerals still map to "number"."""
+        store = make_store({"number": [2.0, 2.0], "within": [1.0, 0.0]})
+        real, calls = embeddings_module.NUMBER_RE, []
+
+        class CountingPattern:
+            def match(self, token):
+                calls.append(token)
+                return real.match(token)
+
+        monkeypatch.setattr(embeddings_module, "NUMBER_RE", CountingPattern())
+        vec = sentence_vector(store, ["within", "seconds", "<N>", "x1", "ms"])
+        assert np.allclose(vec, [1.5, 1.0])
+        assert calls == []
+        assert np.allclose(sentence_vector(store, ["15"]), [2.0, 2.0])
+        assert np.allclose(sentence_vector(store, ["1,000"]), [2.0, 2.0])
+        assert np.allclose(sentence_vector(store, ["5a5"]), [0.0, 0.0])
+        assert calls == ["15", "1,000", "5a5"]
 
     def test_permutation_invariant(self, make_store):
         store = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+import perfquant.data
 from perfquant import (
     ClassLabel,
+    MatcherConfig,
     MetricDirection,
     Pattern,
     QuantificationRequest,
@@ -13,7 +15,12 @@ from perfquant import (
     quantify,
 )
 from perfquant.data import default_directions
-from perfquant.errors import ExpectationOutOfBounds, InconsistentDirections, NoMatch
+from perfquant.errors import (
+    ExpectationOutOfBounds,
+    InconsistentDirections,
+    NoMatch,
+    PerfQuantError,
+)
 from perfquant.patterns import PLACEHOLDER, PatternKB
 from perfquant.text import tokenize
 
@@ -342,3 +349,88 @@ def test_quantify_opens_no_file(monkeypatch, mini_store, bundled_kb):
 
     monkeypatch.setattr(builtins, "open", refuse)
     assert quantify(request, bundled_kb, mini_store).function.to_json() == want
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: QuantificationRequest("x", bounds=(1.0, 0.0)),
+        lambda: QuantificationRequest("x", bounds=(0.0, float("nan"))),
+        lambda: QuantificationRequest("x", bounds=(-1e308, 1e308)),
+        lambda: MatcherConfig(2.0),
+        lambda: MatcherConfig(-0.1),
+    ],
+    ids=["reversed-bounds", "nan-bound", "overflowing-width", "w-above-1", "w-below-0"],
+)
+def test_bad_caller_arguments_raise_the_package_error(make):
+    with pytest.raises(PerfQuantError):
+        make()
+
+
+# (text, function JSON, parts as (text, codes, v_beta, repr(fused)), warnings)
+TWO_PART_CASES = [
+    (
+        "The system should respond in 5 seconds and ideally less than 2 seconds",
+        '{"direction": "min", "segments": ['
+        '{"v_lo": 0.0, "v_hi": 2.0, "s_lo": 1.0, "s_hi": 1.0}, '
+        '{"v_lo": 2.0, "v_hi": 3.5, "s_lo": 1.0, "s_hi": 0.5}, '
+        '{"v_lo": 3.5, "v_hi": 5.0, "s_lo": 0.5, "s_hi": 0.5}, '
+        '{"v_lo": 5.0, "v_hi": 10.0, "s_lo": 0.5, "s_hi": 0.0}]}',
+        [
+            ("The system should respond in 5 seconds", "ES", 5.0, "1.0"),
+            ("The system should respond ideally less than 2 seconds", "ES", 2.0, "1.0"),
+        ],
+        [],
+    ),
+    (
+        "The system must be fast for 3 users and be reliable for 5 users",
+        '{"direction": "max", "segments": ['
+        '{"v_lo": 0.0, "v_hi": 5.0, "s_lo": 0.0, "s_hi": 1.0}, '
+        '{"v_lo": 5.0, "v_hi": 10.0, "s_lo": 1.0, "s_hi": 0.0}]}',
+        [("The system must be be reliable for 5 users", "GS", 5.0, "0.6023856010741659")],
+        ["part 'The system must be fast for 3 users' lacks an expectation point; "
+         "quantified without it"],
+    ),
+    (
+        "The system shall be fast on 3 nodes and be quick on 5 nodes",
+        '{"direction": "min", "segments": ['
+        '{"v_lo": 0.0, "v_hi": 1.0, "s_lo": 1.0, "s_hi": 0.0}]}',
+        [("The system shall be fast on 3 nodes", "SS", None, "1.0")],
+        [
+            "no direction keyword found; assuming a minimized metric",
+            "no usable expectation point; defaulting bounds to (0, 1)",
+            "part 'The system shall be be quick on 5 nodes' lacks an expectation point; "
+            "quantified without it",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("text, function, parts, warnings", TWO_PART_CASES)
+def test_two_part_requirements_quantify_by_their_expectation_points(
+    text, function, parts, warnings, mini_store, bundled_kb
+):
+    """Two, one and no parts with an expectation point: the parts with one
+    are compiled together, and without any the first part is kept."""
+    result = quantify(QuantificationRequest(text), bundled_kb, mini_store)
+    assert result.function.to_json() == function
+    got = [(t, "".join(lab.codes), v_beta, repr(fused)) for t, lab, v_beta, fused in result.parts]
+    assert got == parts
+    assert result.warnings == warnings
+
+
+def test_quantify_reads_the_direction_lexicon_once_per_request(
+    monkeypatch, mini_store, bundled_kb
+):
+    """Through `perfquant.data`, so a wrapper put on the module sees every call."""
+    calls = []
+    lookup = perfquant.data.default_directions
+
+    def counting():
+        calls.append(1)
+        return lookup()
+
+    monkeypatch.setattr(perfquant.data, "default_directions", counting)
+    for text, *_ in TWO_PART_CASES:
+        quantify(QuantificationRequest(text), bundled_kb, mini_store)
+    assert len(calls) == len(TWO_PART_CASES)
