@@ -259,9 +259,12 @@ def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dic
     postings = kb.postings
     reach = Counter(chain.from_iterable(postings.get(t, ()) for t in set(req.normalized)))
     number = bool(req.numeric_positions)
-    lengths, flags = kb.lengths, kb.placeholder_flags
+    patterns = kb.patterns
     w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
-    return {i: w * ((r + number * flags[i]) / lengths[i]) + c for i, r in reach.items()}
+    return {
+        i: w * ((r + number * (PLACEHOLDER in patterns[i].bitmasks)) / len(patterns[i].tokens)) + c
+        for i, r in reach.items()
+    }
 
 
 def _prefix_bounds(

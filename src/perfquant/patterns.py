@@ -113,17 +113,8 @@ class PatternKB:
         return {token: tuple(indices) for token, indices in index.items()}
 
     @cached_property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.patterns)
-
-    @cached_property
     def longest(self) -> int:
-        return max(self.lengths, default=0)
-
-    @cached_property
-    def placeholder_flags(self) -> tuple[int, ...]:
-        """1 for each pattern holding the placeholder, else 0."""
-        return tuple(int(PLACEHOLDER in p.tokens) for p in self.patterns)
+        return max((len(p.tokens) for p in self.patterns), default=0)
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -178,9 +169,9 @@ def extract_pattern(
     placeholder) becomes the pattern.  Without a reachable number, the span from the last
     modal/verb anchor to the last non-stopword is used instead.
     """
-    tokens, words = req.tokens, req.normalized
+    words, numbers = req.normalized, req.numeric_positions
 
-    for number in req.numeric_positions:
+    for number in numbers:
         start = number
         while start - 1 >= 0 and words[start - 1] in DEFAULT_COMPLEMENTS:
             start -= 1
@@ -191,13 +182,9 @@ def extract_pattern(
     if not anchors:
         raise NoExtractableSpan(f"no anchor found in {req.raw!r}")
     start = anchors[-1]
-    content = [
-        i
-        for i, t in enumerate(tokens)
-        if t.normalized not in STOPWORDS and not t.is_number and t.normalized
-    ]
+    content = [i for i, word in enumerate(words) if word not in STOPWORDS and i not in numbers]
     end = content[-1] if content else -1
     if end <= start:
         raise NoExtractableSpan(f"no span after anchor in {req.raw!r}")
-    span = [t.normalized for t in tokens[start : end + 1] if not t.is_number]
+    span = [words[i] for i in range(start, end + 1) if i not in numbers]
     return Pattern(tuple(span), label, source_id)

@@ -163,10 +163,13 @@ def set_scores(
     by 1/d, where d is its series' count, upward for Greater and downward
     for Smaller, clamped to [0, 1]; an indifferent fragment holds the
     score, except that one directly after another indifferent fragment
-    flips it to 1 - score.
+    flips it to 1 - score.  A direction that is not a `MetricDirection`
+    raises `InvalidArgument`.
     """
     if not kinds:
         raise ValueError("empty fragment sequence")
+    if not isinstance(direction, MetricDirection):
+        raise InvalidArgument(f"direction must be a MetricDirection, got {direction!r}")
     equal, greater = FragmentKind.EQUAL, FragmentKind.GREATER
 
     counts: list[int] = []
@@ -256,17 +259,14 @@ def compile_single(
     bounds: tuple[float, float],
     direction: MetricDirection,
 ) -> SatisfactionFunction:
-    """Compile a single classified requirement into its satisfaction function."""
+    """Compile a single classified requirement into its satisfaction function:
+    `combine` of its one part, or without a point its symmetric kind over [lo, hi]."""
+    if v_beta is not None:
+        return combine([(label, v_beta)], bounds, direction)
     lo, hi = check_bounds(bounds)
-    if v_beta is None:
-        if not label.symmetric:
-            raise MissingExpectation(
-                f"label {label} needs an expectation point to split the range"
-            )
-        return _compile([label.left], [(lo, hi)], direction)
-    if not lo <= v_beta <= hi:
-        raise ExpectationOutOfBounds(f"expectation {v_beta} outside bounds ({lo}, {hi})")
-    return _compile([label.left, label.right], [(lo, v_beta), (v_beta, hi)], direction)
+    if not label.symmetric:
+        raise MissingExpectation(f"label {label} needs an expectation point to split the range")
+    return _compile([label.left], [(lo, hi)], direction)
 
 
 def combine(
@@ -276,9 +276,10 @@ def combine(
 ) -> SatisfactionFunction:
     """Compile one or two classified parts of a requirement jointly.
 
-    Two parts are interleaved in expectation-point order: the first part
-    covers [lo, x1] and [x1, x2], the second [x1, x2] and [x2, hi].  The
-    shared middle interval is then conflict-split at its midpoint.
+    The distinct parts, in expectation-point order, cut the range at the
+    edges [lo, *points, hi]; part i covers the two intervals after edge i:
+    one part [lo, x] and [x, hi]; of two, the first [lo, x1] and [x1, x2],
+    the second [x1, x2] and [x2, hi], the shared one conflict-split at its midpoint.
     """
     if not 1 <= len(parts) <= 2:
         raise ValueError(f"combine takes 1 or 2 parts, got {len(parts)}")
@@ -290,15 +291,12 @@ def combine(
             raise ExpectationOutOfBounds(f"expectation {v} outside bounds ({lo}, {hi})")
 
     unique = sorted(dict.fromkeys(parts), key=lambda p: p[1])
-    if len(unique) == 1:
-        label, v = unique[0]
-        return compile_single(label, v, bounds, direction)
-    (label_a, x_a), (label_b, x_b) = unique
-    return _compile(
-        [label_a.left, label_a.right, label_b.left, label_b.right],
-        [(lo, x_a), (x_a, x_b), (x_a, x_b), (x_b, hi)],
-        direction,
-    )
+    edges = [lo, *[v for _, v in unique], hi]
+    kinds, intervals = [], []
+    for i, (label, _) in enumerate(unique):
+        kinds += label.left, label.right
+        intervals += (edges[i], edges[i + 1]), (edges[i + 1], edges[i + 2])
+    return _compile(kinds, intervals, direction)
 
 
 def evaluate(fn: SatisfactionFunction, v: float) -> float:

@@ -57,9 +57,6 @@ class TokenizedRequirement:
             self, "numeric_positions", tuple([i for i, t in enumerate(tokens) if t.is_number])
         )
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 def _number(surface: str, digits: str) -> Token:
     """The number token of `digits`, which `NUMBER_RE` matches, negated when
@@ -95,33 +92,32 @@ def tokenize(text: str) -> TokenizedRequirement:
     tokens: list[Token] = []
     for chunk in text.split():
         stripped = chunk.strip(string.punctuation)
-        if not stripped[:1].isdigit():
-            tokens.append(_make_token((chunk, (stripped or chunk).lower(), False, None)))
-        elif NUMBER_RE.match(stripped):
-            tokens.append(_number(chunk, stripped))
-        elif (
-            (unit := _UNIT_SUFFIXED_RE.fullmatch(stripped))
-            and NUMBER_RE.match(unit[1])
-            and unit[2].lower() not in _ORDINAL_SUFFIXES
-        ):
-            # a unit holds no digit, so it is a word
-            cut = chunk.index(stripped) + len(unit[1])
-            tail = _make_token((chunk[cut:], unit[2].lower(), False, None))
-            tokens += (_number(chunk[:cut], unit[1]), tail)
-        else:
-            tokens.append(_make_token((chunk, stripped.lower(), False, None)))
+        if stripped[:1].isdigit():
+            if NUMBER_RE.match(stripped):
+                tokens.append(_number(chunk, stripped))
+                continue
+            unit = _UNIT_SUFFIXED_RE.fullmatch(stripped)
+            if unit and NUMBER_RE.match(unit[1]) and unit[2].lower() not in _ORDINAL_SUFFIXES:
+                # the number, then its unit, which holds no digit, as a word
+                cut = chunk.index(stripped) + len(unit[1])
+                tokens.append(_number(chunk[:cut], unit[1]))
+                chunk, stripped = chunk[cut:], unit[2]
+        tokens.append(_make_token((chunk, (stripped or chunk).lower(), False, None)))
     return TokenizedRequirement(text, tuple(tokens))
 
 
-def _subject_prefix(req: TokenizedRequirement, limit: int) -> tuple[Token, ...]:
-    """Shared subject prefix copied onto the second split part.
+def _subject_prefix(req: TokenizedRequirement, start: int) -> tuple[Token, ...]:
+    """Shared subject prefix copied onto the second clause, which begins at `start`.
 
-    Extends through the first modal verb before `limit` plus the token after
-    it (the governed main verb), else over the first three tokens; always cut
-    before the first number, which `req` must hold, so no expectation leaks.
+    Extends through the first modal verb before `start` plus the token after
+    it (the governed main verb) unless the clause begins with that same word
+    ("must be fast for 3 users and be reliable" copies "must", not "must be"),
+    else over the first three tokens; always cut before the first number,
+    which `req` must hold, so no expectation leaks.
     """
-    words = req.normalized[:limit]
-    end = next((i + 2 for i, word in enumerate(words) if word in DEFAULT_PREFIX_VERBS), 3)
+    words = req.normalized
+    modal = next((i for i, word in enumerate(words[:start]) if word in DEFAULT_PREFIX_VERBS), None)
+    end = 3 if modal is None else modal + 1 + (words[modal + 1] != words[start])
     return req.tokens[: min(end, req.numeric_positions[0])]
 
 
@@ -148,7 +144,7 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
             if not (standalone or attached):
                 continue
             first_end = c if standalone else c + 1
-            prefix = _subject_prefix(req, first_end)
+            prefix = _subject_prefix(req, c + 1)
             return [_part(req.tokens[:first_end]), _part((*prefix, *req.tokens[c + 1 :]))]
 
     return [req]

@@ -29,7 +29,7 @@ from perfquant import (
     syntactic_score,
 )
 from perfquant import evaluation, matching
-from perfquant.data import HOLDOUT_FILE, MINI_CORPUS_FILE
+from perfquant.data import HOLDOUT_FILE, MINI_CORPUS_FILE, default_store
 from perfquant.data import path as data_path
 from perfquant.evaluation import load_dataset
 from perfquant.matching import _FUNCTION_WORDS, _SEM_CEILING, fuse
@@ -408,10 +408,18 @@ def test_dropped_bases_leave_no_stale_state(big_patterns, request_parts, mini_st
     assert len(set(kb_sizes)) > 6
 
 
-def test_dropped_bases_free_their_caches(big_patterns, request_parts, mini_store):
+def test_dropped_bases_free_their_caches(big_patterns, request_parts):
     """Per-base and per-pattern caches go with their objects: once the
     store holds every pattern vector, building and dropping bases of fresh
-    patterns leaves no memory behind."""
+    patterns leaves no memory behind.
+
+    The store is the test's own, and every vector it will hold is in it
+    before the measured window, so no earlier test or draw decides what
+    the window adds to it."""
+    store = default_store()
+    store.pattern_vectors.update(
+        (p.tokens, sentence_vector(store, list(p.tokens))) for p in big_patterns
+    )
     rng = random.Random(5)
     parts = request_parts[::20]
 
@@ -420,16 +428,13 @@ def test_dropped_bases_free_their_caches(big_patterns, request_parts, mini_store
             fresh = [Pattern(p.tokens, p.label) for p in rng.sample(big_patterns, 80)]
             kb = PatternKB.build(fresh)
             for part in parts:
-                select(kb, mini_store, part)
+                select(kb, store, part)
 
     def held():
         snapshot = tracemalloc.take_snapshot()
         traces = snapshot.filter_traces([tracemalloc.Filter(True, "*perfquant*")])
         return sum(stat.size for stat in traces.statistics("filename"))
 
-    whole = PatternKB.build(big_patterns)
-    for part in parts:
-        select(whole, mini_store, part)
     tracemalloc.start()
     try:
         churn(20)  # fills the interpreter's free lists

@@ -196,7 +196,7 @@ class TestQuantify:
             mini_store,
         )
         assert result.parts == [
-            ("The system must be be reliable for 5 users", label("GS"), 5.0, 0.6023856010741659)
+            ("The system must be reliable for 5 users", label("GS"), 5.0, 0.6023856010741659)
         ]
         assert result.warnings == [
             "part 'The system must be fast for 3 users' lacks an expectation point; "
@@ -387,7 +387,7 @@ TWO_PART_CASES = [
         '{"direction": "max", "segments": ['
         '{"v_lo": 0.0, "v_hi": 5.0, "s_lo": 0.0, "s_hi": 1.0}, '
         '{"v_lo": 5.0, "v_hi": 10.0, "s_lo": 1.0, "s_hi": 0.0}]}',
-        [("The system must be be reliable for 5 users", "GS", 5.0, "0.6023856010741659")],
+        [("The system must be reliable for 5 users", "GS", 5.0, "0.6023856010741659")],
         ["part 'The system must be fast for 3 users' lacks an expectation point; "
          "quantified without it"],
     ),
@@ -399,7 +399,7 @@ TWO_PART_CASES = [
         [
             "no direction keyword found; assuming a minimized metric",
             "no usable expectation point; defaulting bounds to (0, 1)",
-            "part 'The system shall be be quick on 5 nodes' lacks an expectation point; "
+            "part 'The system shall be quick on 5 nodes' lacks an expectation point; "
             "quantified without it",
         ],
     ),

@@ -19,7 +19,9 @@ from perfquant import (
     resolve_intervals,
     set_scores,
 )
-from perfquant.errors import ExpectationOutOfBounds, MissingExpectation
+from perfquant.errors import ExpectationOutOfBounds, InvalidArgument, MissingExpectation
+from perfquant.pipeline import QuantificationRequest, quantify
+from perfquant.satisfaction import _compile, check_bounds
 
 MIN = MetricDirection.MINIMIZE
 MAX = MetricDirection.MAXIMIZE
@@ -290,6 +292,101 @@ class TestCombine:
             combine([], (0, 10), MIN)
         with pytest.raises(ValueError):
             combine([(label("ES"), v) for v in (1, 2, 3)], (0, 10), MIN)
+
+
+# --- the former layouts: one interval pair per point in `compile_single`,
+# --- four intervals for two points in `combine`, which sent one to the other
+
+
+def former_compile_single(label, v_beta, bounds, direction):
+    lo, hi = check_bounds(bounds)
+    if v_beta is None:
+        if not label.symmetric:
+            raise MissingExpectation(
+                f"label {label} needs an expectation point to split the range"
+            )
+        return _compile([label.left], [(lo, hi)], direction)
+    if not lo <= v_beta <= hi:
+        raise ExpectationOutOfBounds(f"expectation {v_beta} outside bounds ({lo}, {hi})")
+    return _compile([label.left, label.right], [(lo, v_beta), (v_beta, hi)], direction)
+
+
+def former_combine(parts, bounds, direction):
+    lo, hi = check_bounds(bounds)
+    for _, v in parts:
+        if not lo <= v <= hi:
+            raise ExpectationOutOfBounds(f"expectation {v} outside bounds ({lo}, {hi})")
+    unique = sorted(dict.fromkeys(parts), key=lambda p: p[1])
+    if len(unique) == 1:
+        label, v = unique[0]
+        return former_compile_single(label, v, bounds, direction)
+    (label_a, x_a), (label_b, x_b) = unique
+    return _compile(
+        [label_a.left, label_a.right, label_b.left, label_b.right],
+        [(lo, x_a), (x_a, x_b), (x_a, x_b), (x_b, hi)],
+        direction,
+    )
+
+
+def _outcome(compile_fn, *args):
+    """The function's JSON and repr, or the error's type and message."""
+    try:
+        fn = compile_fn(*args)
+    except (ValueError, MissingExpectation, ExpectationOutOfBounds) as exc:
+        return type(exc), str(exc)
+    return fn.to_json(), repr(fn)
+
+
+# points at lo, inside, at hi and outside, as ints and floats
+BOUNDS_AND_POINTS = [
+    ((0, 10), (0, 2, 2.5, 5, 10, 12)),
+    ((0.0, 1.0), (0.0, 0.25, 1.0, -0.5)),
+    ((-10, 10), (-10, -5.0, 0, 10.0)),
+    ((1e308, 1.7e308), (1e308, 1.2e308, 1.5e308, 1.7e308)),
+]
+
+
+class TestAgainstTheFormerLayouts:
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_one_point_or_none(self, direction):
+        for lab, (bounds, points) in itertools.product(ALL_LABELS, BOUNDS_AND_POINTS):
+            for v in (None, *points):
+                args = (lab, v, bounds, direction)
+                assert _outcome(compile_single, *args) == _outcome(former_compile_single, *args)
+                if v is not None:
+                    args = ([(lab, v)], bounds, direction)
+                    assert _outcome(combine, *args) == _outcome(former_combine, *args)
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_two_points(self, direction):
+        for bounds, points in BOUNDS_AND_POINTS:
+            for a, b in itertools.product(ALL_LABELS, repeat=2):
+                for x, y in itertools.product(points, repeat=2):
+                    args = ([(a, x), (b, y)], bounds, direction)
+                    assert _outcome(combine, *args) == _outcome(former_combine, *args)
+
+
+class TestDirectionType:
+    """A direction that is not a `MetricDirection` is refused, not read as
+    neither minimized nor maximized."""
+
+    @pytest.mark.parametrize("direction", ["min", "max", None, 1])
+    def test_compile_single_and_combine(self, direction):
+        with pytest.raises(InvalidArgument, match="MetricDirection"):
+            compile_single(label("ES"), 2, (0, 10), direction)
+        with pytest.raises(InvalidArgument, match="MetricDirection"):
+            compile_single(label("SS"), None, (0, 10), direction)
+        with pytest.raises(InvalidArgument, match="MetricDirection"):
+            combine([(label("ES"), 2), (label("GE"), 5)], (0, 10), direction)
+        with pytest.raises(InvalidArgument, match="MetricDirection"):
+            set_scores([S], direction)
+
+    def test_quantify(self, bundled_kb, mini_store):
+        request = QuantificationRequest(
+            "The system should respond in 2 seconds", bounds=(0, 10), direction="min"
+        )
+        with pytest.raises(InvalidArgument, match="got 'min'"):
+            quantify(request, bundled_kb, mini_store)
 
 
 class TestEvaluate:

@@ -125,6 +125,19 @@ class TestSplitExpectations:
         assert [p.raw for p in parts] == ["supports 100 users", "supports 2 GB storage"]
         assert all(len(p.numeric_positions) == 1 for p in parts)
 
+    @pytest.mark.parametrize(
+        "raw, second",
+        [
+            (
+                "The system must be fast for 3 users and be reliable for 5 users",
+                "The system must be reliable for 5 users",
+            ),
+            ("The job shall run in 5 s, run in 2 s", "The job shall run in 2 s"),
+        ],
+    )
+    def test_clause_with_its_own_verb_gets_no_copy_of_it(self, raw, second):
+        assert split_expectations(tokenize(raw))[1].raw == second
+
     def test_attached_comma_acts_as_connective(self):
         req = tokenize("The job shall finish in 10 minutes, ideally in 5 minutes")
         parts = split_expectations(req)
@@ -182,7 +195,8 @@ def _retokenizing_split(req):
             end = 3
             for i, t in enumerate(tokens[:first_end]):
                 if t.normalized in DEFAULT_PREFIX_VERBS:
-                    end = i + 2
+                    # the governed verb stays out when the clause brings it
+                    end = i + 1 if tokens[i + 1].normalized == tokens[c + 1].normalized else i + 2
                     break
             prefix = []
             for t in tokens[: min(end, first_end)]:
