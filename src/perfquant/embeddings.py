@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, VectorFormatError
+from .errors import DimensionMismatch, InvalidArgument, VectorFormatError
 from .patterns import PLACEHOLDER
 from .text import NUMBER_RE
 
@@ -45,7 +45,7 @@ class VectorStore:
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
-            raise ValueError("vector dimension must be positive")
+            raise InvalidArgument("vector dimension must be positive")
         with np.errstate(over="ignore"):
             for word, vec in self.entries.items():
                 if np.shape(vec) != (self.dimension,):
@@ -115,7 +115,7 @@ def sentence_vector(store: VectorStore, tokens: list[str]) -> np.ndarray:
     the zero vector comes back (a neutral semantic signal).
     """
     if not tokens:
-        raise ValueError("sentence_vector needs at least one token")
+        raise InvalidArgument("sentence_vector needs at least one token")
     vectors = []
     for token in tokens:
         # `NUMBER_RE` starts with \d, and `str.isdigit` accepts every \d character

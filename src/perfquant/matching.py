@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -253,85 +254,61 @@ def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dic
     Reach is counted term at a time over `PatternKB.postings` (Turtle &
     Flood, "Query evaluation: strategies and optimizations", IPM 31, 1995),
     one count per pattern position, plus the pattern's placeholder when the
-    requirement holds a number.  The bound is fuse(reach / len,
-    _SEM_CEILING, cfg) in the same float operations, in the same order.
+    requirement holds a number.
     """
-    postings = kb.postings
-    reach = Counter(chain.from_iterable(postings.get(t, ()) for t in set(req.normalized)))
-    number = bool(req.numeric_positions)
+    reach = Counter(chain.from_iterable(kb.postings.get(t, ()) for t in set(req.normalized)))
     patterns = kb.patterns
-    w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
-    return {
-        i: w * ((r + number * (PLACEHOLDER in patterns[i].bitmasks)) / len(patterns[i].tokens)) + c
-        for i, r in reach.items()
-    }
+    if req.numeric_positions:
+        reach.update([i for i in reach if PLACEHOLDER in patterns[i].bitmasks])
+    return {i: fuse(r / len(patterns[i]), _SEM_CEILING, cfg) for i, r in reach.items()}
 
 
-def _prefix_bounds(
+def _ranked(
     kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig
-) -> tuple[dict[int, float], float]:
-    """The bounds above the cap, by pattern index, and the cap.
+) -> Iterator[tuple[float, int | None]]:
+    """The candidates as (bound, pattern index), by descending bound, then
+    ascending index, with (cap, None) standing for the bounds not yet computed.
 
-    The cap is fuse((longest - 1) / longest, _SEM_CEILING, cfg), `longest`
-    being the base's longest pattern.  A bound above it belongs to a
-    pattern of full reach, every position reached, whose bound is
-    fuse(len / len, _SEM_CEILING, cfg) as `_bounds` computes it; such a
-    pattern holds its rarest word, so only the patterns of
-    `PatternKB.rarest` for the requirement's words are tested.
+    A candidate shares a word token with the requirement
+    (`PatternKB.postings`): a pattern holds at most one placeholder, so any
+    other pattern's LCS is empty or the placeholder alone.  Its reach is the
+    number of its positions whose token occurs in the requirement, the
+    placeholder counting when the requirement holds a number; each LCS pair
+    uses a distinct such position, so the LCS length is at most the reach.
+    The syntactic score is at most reach / len, as the span penalty is a
+    factor of at most 1 and rounding is monotone, and a cosine exceeds 1.0
+    by a few ulps at most, so the bound fuse(reach / len, _SEM_CEILING)
+    holds in floating point for any w in [0, 1].
+
+    Most bounds are never needed (prefix filtering: Chaudhuri, Ganti &
+    Kaushik, "A primitive operator for similarity joins in data cleaning",
+    ICDE 2006; Bayardo, Ma & Srikant, "Scaling up all pairs similarity
+    search", WWW 2007).  A pattern whose rarest word is not in the
+    requirement misses that position, so its reach is at most len - 1 and
+    its bound at most cap = fuse((longest - 1) / longest, _SEM_CEILING),
+    longest being the base's longest pattern: (len - 1) / len grows with
+    len, and rounding is monotone.  Every bound above the cap is therefore
+    top = fuse(1.0, _SEM_CEILING), that of a pattern of full reach listed
+    in `PatternKB.rarest` under a requirement word.  Those patterns come
+    first, then (cap, None); only a visit that goes on past it has
+    `_bounds` count every candidate's reach, and the bounds at or below the
+    cap follow.  Without the sentinel, the stream is all of `_bounds` in
+    one ranking.
     """
     words = set(req.normalized)
     # the placeholder's position is reached by a number, never by a word
     words.discard(PLACEHOLDER)
     if req.numeric_positions:
         words.add(PLACEHOLDER)
-    w, c = cfg.w, (1.0 - cfg.w) * (_SEM_CEILING + 1.0) / 2.0
-    longest = kb.longest
-    cap = w * ((longest - 1) / longest) + c
-    top = w * 1.0 + c
-    if top <= cap:
-        return {}, cap
-    patterns, rarest = kb.patterns, kb.rarest
-    covered = words.issuperset
-    return dict.fromkeys(
-        (i for t in words for i in rarest.get(t, ()) if covered(patterns[i].bitmasks)), top
-    ), cap
-
-
-def _best(
-    kb: PatternKB,
-    store: VectorStore,
-    req: TokenizedRequirement,
-    cfg: MatcherConfig,
-    bound: dict[int, float],
-    best: tuple | None,
-) -> tuple | None:
-    """`best`, or the best of `bound`'s candidates that beats it, as
-    (key, index, pattern, lcs, syn_raw, syn, sem, fused).
-
-    Candidates are visited in descending bound, ties by ascending index,
-    until a bound falls strictly below the best fused score so far.
-    """
-    # a stable sort: descending bound, ties by ascending index
-    for index in sorted(sorted(bound), key=bound.__getitem__, reverse=True):
-        if best is not None and bound[index] < best[0][0]:
-            break
-        pattern = kb.patterns[index]
-        result = lcs(pattern, req)
-        if result.length == 1 and result.v_beta is not None:
-            # the placeholder alone matched: a bare number shared with any
-            # numeric requirement carries no structural signal
-            continue
-        if result.v_beta is None and all(
-            t in _FUNCTION_WORDS for t in result.matched_tokens
-        ):
-            continue
-        syn_raw, syn = syntactic_score(pattern, result)
-        sem = semantic_score(store, pattern, result)
-        fused = fuse(syn, sem, cfg)
-        key = (fused, syn, -len(pattern), -index)
-        if best is None or key > best[0]:
-            best = (key, index, pattern, result, syn_raw, syn, sem, fused)
-    return best
+    cap = fuse((kb.longest - 1) / kb.longest, _SEM_CEILING, cfg)
+    top = fuse(1.0, _SEM_CEILING, cfg)
+    if top > cap:
+        patterns, covered = kb.patterns, words.issuperset
+        full = {i for t in words for i in kb.rarest.get(t, ()) if covered(patterns[i].bitmasks)}
+        yield from ((top, i) for i in sorted(full))
+    yield cap, None
+    rest = [(b, i) for i, b in _bounds(kb, req, cfg).items() if b <= cap]
+    yield from sorted(rest, key=lambda item: (-item[0], item[1]))
 
 
 def select(
@@ -347,64 +324,44 @@ def select(
     the higher syntactic score, then the shorter pattern, then the lower
     pattern index, making selection deterministic.
 
-    Only patterns sharing a word token with the requirement are candidates
-    (`PatternKB.postings`): a pattern holds at most one placeholder, so
-    any other pattern's LCS is empty or the placeholder alone.
-
-    Candidates are scored best first, by an upper bound on their fused
-    score, and the search stops once none can win (threshold pruning over
-    an inverted index: Fagin, Lotem & Naor, "Optimal aggregation
+    Candidates are scored best first, in the order of `_ranked`, by an
+    upper bound on their fused score, and the visit stops at the first
+    bound strictly below the best fused score so far (threshold pruning
+    over an inverted index: Fagin, Lotem & Naor, "Optimal aggregation
     algorithms for middleware", PODS 2001; Broder et al., "Efficient query
-    evaluation using a two-level retrieval process", CIKM 2003).  A
-    pattern's reach is the number of its positions whose token occurs in
-    the requirement, the placeholder counting when the requirement holds a
-    number; each LCS pair uses a distinct such position, so the LCS length
-    is at most the reach.  The syntactic score is at most reach / len, as
-    the span penalty is a factor of at most 1 and rounding is monotone, and
-    a cosine exceeds 1.0 by a few ulps at most, so the bound
-    fuse(reach / len, _SEM_CEILING) holds in floating point for any w in
-    [0, 1]; `_bounds` computes it.  Candidates are visited in descending
-    bound, then ascending index, and the visit stops at the first bound
-    strictly below the best fused score so far: a candidate whose bound
-    equals it could still tie on fused and win on the tie-break.
-
-    Most candidates are never visited, so most bounds need not be computed
-    either (prefix filtering: Chaudhuri, Ganti & Kaushik, "A primitive
-    operator for similarity joins in data cleaning", ICDE 2006; Bayardo,
-    Ma & Srikant, "Scaling up all pairs similarity search", WWW 2007).  A
-    pattern whose rarest word is not in the requirement misses that
-    position, so its reach is at most len - 1 and its bound at most
-    cap = fuse((longest - 1) / longest, _SEM_CEILING), longest being the
-    base's longest pattern: (len - 1) / len grows with len, and rounding
-    is monotone.  Every bound above the cap therefore belongs to a pattern
-    of full reach listed in `PatternKB.rarest` under a requirement word,
-    and `_prefix_bounds` tests only those.  They are visited first; the
-    visit goes on to every bound at or below the cap, through the full
-    `_bounds`, only when the best fused score so far does not exceed the
-    cap.  The two passes visit the candidates in the order a single
-    ranking would, and stop where it would.
+    evaluation using a two-level retrieval process", CIKM 2003): a
+    candidate whose bound equals it could still tie on fused and win on the
+    tie-break.
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
     cfg = cfg or _DEFAULT_CONFIG
 
-    first, cap = _prefix_bounds(kb, req, cfg)
-    best = _best(kb, store, req, cfg, first, None)
-    if best is None or best[0][0] <= cap:
-        rest = {i: b for i, b in _bounds(kb, req, cfg).items() if b <= cap}
-        best = _best(kb, store, req, cfg, rest, best)
+    best = None
+    for bound, index in _ranked(kb, req, cfg):
+        if best is not None and bound < best[0][0]:
+            break
+        if index is None:
+            continue
+        pattern = kb.patterns[index]
+        result = lcs(pattern, req)
+        # the placeholder alone (a bare number shared with any numeric
+        # requirement), or function words alone, carry no structural signal
+        if (
+            result.length == 1
+            if result.v_beta is not None
+            else all(t in _FUNCTION_WORDS for t in result.matched_tokens)
+        ):
+            continue
+        syn_raw, syn = syntactic_score(pattern, result)
+        sem = semantic_score(store, pattern, result)
+        key = (fuse(syn, sem, cfg), syn, -len(pattern), -index)
+        if best is None or key > best[0]:
+            best = (key, index, result, syn_raw, sem)
     if best is None:
         return None
 
-    _, index, pattern, result, syn_raw, syn, sem, fused = best
+    (fused, syn, _, _), index, result, syn_raw, sem = best
+    pattern = kb.patterns[index]
     label = apply_negation(req, result, pattern)
-    return MatchResult(
-        pattern_index=index,
-        pattern=pattern,
-        lcs=result,
-        syn_raw=syn_raw,
-        syn=syn,
-        sem=sem,
-        fused=fused,
-        label=label,
-    )
+    return MatchResult(index, pattern, result, syn_raw, syn, sem, fused, label)

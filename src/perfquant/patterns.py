@@ -6,7 +6,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import NoExtractableSpan, PatternParseError, UnknownLabelCode
+from .errors import InvalidArgument, NoExtractableSpan, PatternParseError, UnknownLabelCode
 from .satisfaction import ClassLabel
 from .text import TokenizedRequirement
 
@@ -44,14 +44,14 @@ class Pattern:
 
     def __post_init__(self) -> None:
         if not self.tokens:
-            raise ValueError("pattern must have at least one token")
+            raise InvalidArgument("pattern must have at least one token")
         if sum(1 for t in self.tokens if t == PLACEHOLDER) > 1:
-            raise ValueError(f"pattern has multiple {PLACEHOLDER} placeholders")
+            raise InvalidArgument(f"pattern has multiple {PLACEHOLDER} placeholders")
         for t in self.tokens:
             if t == PLACEHOLDER:
                 continue
             if not t or t != t.lower() or any(ch.isspace() for ch in t):
-                raise ValueError(f"bad pattern token {t!r}")
+                raise InvalidArgument(f"bad pattern token {t!r}")
 
     @property
     def text(self) -> str:

@@ -86,12 +86,12 @@ class Fragment:
 
     def __post_init__(self) -> None:
         if self.v_lo > self.v_hi:
-            raise ValueError(f"fragment interval reversed: [{self.v_lo}, {self.v_hi}]")
+            raise InvalidArgument(f"fragment interval reversed: [{self.v_lo}, {self.v_hi}]")
         for s in (self.s_lo, self.s_hi):
             if not 0.0 <= s <= 1.0:
-                raise ValueError(f"satisfaction score {s} outside [0, 1]")
+                raise InvalidArgument(f"satisfaction score {s} outside [0, 1]")
         if self.kind is FragmentKind.EQUAL and self.s_lo != self.s_hi:
-            raise ValueError("indifferent fragment must have a constant score")
+            raise InvalidArgument("indifferent fragment must have a constant score")
 
     def value_at(self, v: float) -> float:
         if self.v_hi == self.v_lo:
@@ -114,10 +114,10 @@ class SatisfactionFunction:
 
     def __post_init__(self) -> None:
         if not self.segments:
-            raise ValueError("satisfaction function needs at least one segment")
+            raise InvalidArgument("satisfaction function needs at least one segment")
         for a, b in zip(self.segments, self.segments[1:]):
             if a.v_hi != b.v_lo:
-                raise ValueError("segments must tile the range without gaps")
+                raise InvalidArgument("segments must tile the range without gaps")
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -167,7 +167,7 @@ def set_scores(
     raises `InvalidArgument`.
     """
     if not kinds:
-        raise ValueError("empty fragment sequence")
+        raise InvalidArgument("empty fragment sequence")
     if not isinstance(direction, MetricDirection):
         raise InvalidArgument(f"direction must be a MetricDirection, got {direction!r}")
     equal, greater = FragmentKind.EQUAL, FragmentKind.GREATER
@@ -282,11 +282,11 @@ def combine(
     the second [x1, x2] and [x2, hi], the shared one conflict-split at its midpoint.
     """
     if not 1 <= len(parts) <= 2:
-        raise ValueError(f"combine takes 1 or 2 parts, got {len(parts)}")
+        raise InvalidArgument(f"combine takes 1 or 2 parts, got {len(parts)}")
     lo, hi = check_bounds(bounds)
     for _, v in parts:
         if v is None:
-            raise ValueError("combine requires an expectation point per part")
+            raise InvalidArgument("combine requires an expectation point per part")
         if not lo <= v <= hi:
             raise ExpectationOutOfBounds(f"expectation {v} outside bounds ({lo}, {hi})")
 
@@ -302,7 +302,7 @@ def combine(
 def evaluate(fn: SatisfactionFunction, v: float) -> float:
     """Score a measured value; clamps outside the bounds, right segment wins at knots.
 
-    NaN raises ValueError.
+    NaN raises `InvalidArgument`.
     """
     lo, hi = fn.bounds
     if v <= lo:
@@ -314,4 +314,4 @@ def evaluate(fn: SatisfactionFunction, v: float) -> float:
             return seg.value_at(v)
     # the last segment ends at hi, so only NaN, which fails every
     # comparison, gets here
-    raise ValueError(f"cannot score {v!r}: not a number")
+    raise InvalidArgument(f"cannot score {v!r}: not a number")

@@ -110,15 +110,18 @@ def _subject_prefix(req: TokenizedRequirement, start: int) -> tuple[Token, ...]:
     """Shared subject prefix copied onto the second clause, which begins at `start`.
 
     Extends through the first modal verb before `start` plus the token after
-    it (the governed main verb) unless the clause begins with that same word
-    ("must be fast for 3 users and be reliable" copies "must", not "must be"),
-    else over the first three tokens; always cut before the first number,
-    which `req` must hold, so no expectation leaks.
+    it (the governed main verb), else over the first three tokens; always
+    cut before the first number, which `req` must hold, so no expectation
+    leaks.  The prefix's last word is left out when the clause begins with
+    it ("must be fast for 3 users and be reliable" copies "must", not "must
+    be"; "supports 100 users and supports 2 GB" copies no "supports").
     """
     words = req.normalized
     modal = next((i for i, word in enumerate(words[:start]) if word in DEFAULT_PREFIX_VERBS), None)
-    end = 3 if modal is None else modal + 1 + (words[modal + 1] != words[start])
-    return req.tokens[: min(end, req.numeric_positions[0])]
+    end = min(3 if modal is None else modal + 2, req.numeric_positions[0])
+    if end and words[end - 1] == words[start]:
+        end -= 1
+    return req.tokens[:end]
 
 
 def _part(tokens: tuple[Token, ...]) -> TokenizedRequirement:

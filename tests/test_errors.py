@@ -1,0 +1,93 @@
+"""Every bad argument to a public name raises `InvalidArgument`: a
+`PerfQuantError`, so one `except` catches the package's errors, and a
+`ValueError`, so a caller's `except ValueError` keeps working."""
+
+import math
+
+import pytest
+
+from perfquant import (
+    ClassLabel,
+    Fragment,
+    FragmentKind,
+    MetricDirection,
+    Pattern,
+    SatisfactionFunction,
+    VectorStore,
+    combine,
+    compile_single,
+    evaluate,
+    sentence_vector,
+    set_scores,
+)
+from perfquant.errors import InvalidArgument, PerfQuantError
+from perfquant.patterns import PLACEHOLDER
+
+MIN = MetricDirection.MINIMIZE
+ES = ClassLabel.from_codes("E", "S")
+G, E = FragmentKind.GREATER, FragmentKind.EQUAL
+
+
+def _segment(v_lo, v_hi):
+    return Fragment(E, v_lo, v_hi, 1.0, 1.0)
+
+
+SITES = {
+    "combine, three parts": (
+        lambda: combine([(ES, 1.0), (ES, 2.0), (ES, 3.0)], (0, 10), MIN),
+        "combine takes 1 or 2 parts, got 3",
+    ),
+    "combine, a part with no point": (
+        lambda: combine([(ES, None)], (0, 10), MIN),
+        "combine requires an expectation point per part",
+    ),
+    "set_scores, no kinds": (lambda: set_scores([], MIN), "empty fragment sequence"),
+    "Fragment, reversed interval": (
+        lambda: Fragment(G, 2.0, 1.0, 0.0, 1.0),
+        "fragment interval reversed: [2.0, 1.0]",
+    ),
+    "Fragment, score outside [0, 1]": (
+        lambda: Fragment(G, 0.0, 1.0, 0.0, 1.5),
+        "satisfaction score 1.5 outside [0, 1]",
+    ),
+    "Fragment, sloped indifferent": (
+        lambda: Fragment(E, 0.0, 1.0, 0.0, 1.0),
+        "indifferent fragment must have a constant score",
+    ),
+    "SatisfactionFunction, no segment": (
+        lambda: SatisfactionFunction((), MIN),
+        "satisfaction function needs at least one segment",
+    ),
+    "SatisfactionFunction, a gap": (
+        lambda: SatisfactionFunction((_segment(0, 1), _segment(2, 3)), MIN),
+        "segments must tile the range without gaps",
+    ),
+    "Pattern, no token": (lambda: Pattern((), ES), "pattern must have at least one token"),
+    "Pattern, two placeholders": (
+        lambda: Pattern((PLACEHOLDER, "in", PLACEHOLDER), ES),
+        f"pattern has multiple {PLACEHOLDER} placeholders",
+    ),
+    "Pattern, a bad token": (lambda: Pattern(("In",), ES), "bad pattern token 'In'"),
+    "VectorStore, no dimension": (
+        lambda: VectorStore(0, {}),
+        "vector dimension must be positive",
+    ),
+    "sentence_vector, no token": (
+        lambda: sentence_vector(VectorStore(1, {}), []),
+        "sentence_vector needs at least one token",
+    ),
+    "evaluate, NaN": (
+        lambda: evaluate(compile_single(ES, 5.0, (0, 10), MIN), math.nan),
+        "cannot score nan: not a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_each_bad_argument_raises_the_typed_error(site):
+    call, message = SITES[site]
+    with pytest.raises(PerfQuantError) as caught:
+        call()
+    assert type(caught.value) is InvalidArgument
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == message

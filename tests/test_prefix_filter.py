@@ -1,9 +1,11 @@
-"""select's first pass: the patterns whose rarest word the part holds.
+"""select's ranked stream: the patterns whose rarest word the part holds,
+then the cap, then the rest.
 
 A pattern whose rarest word is not in the part misses a position, so its
 bound is at most the cap, fuse((longest - 1) / longest, _SEM_CEILING).
-The first pass ranks only the bounds above the cap; the full `_bounds`
-runs only when the best fused score so far does not exceed it.
+The stream's head, its first pass before (cap, None), holds only the
+bounds above the cap; the full `_bounds` runs only when the visit goes on
+past the cap.
 """
 
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from test_matching_equivalence import (  # noqa: F401  (fixtures)
 from test_ranking import visit_order
 
 from perfquant import ClassLabel, MatcherConfig, Pattern, matching, select
+from perfquant.matching import _SEM_CEILING, fuse
 from perfquant.patterns import PLACEHOLDER, PatternKB
 from perfquant.text import tokenize
 
@@ -29,17 +32,48 @@ def rarest_held(kb, part):
     return {i for t in part.tokens for i in kb.rarest.get(t.normalized, ())}
 
 
+def head_and_cap(kb, part, cfg):
+    """The stream's items before (cap, None), and the cap; the stream is
+    not resumed past it, so `_bounds` does not run."""
+    head = []
+    for bound, index in matching._ranked(kb, part, cfg):
+        if index is None:
+            return head, bound
+        head.append((bound, index))
+    raise AssertionError("the stream holds no (cap, None)")
+
+
+UNDER = PatternKB.build([Pattern(("under", PLACEHOLDER), ES)])
+
+
 @settings(max_examples=300, deadline=None)
 @given(small_base_and_part(), st.sampled_from(WEIGHTS))
-@example((PatternKB.build([Pattern(("under", PLACEHOLDER), ES)]), tokenize("under 5")), 0.7)
-@example((PatternKB.build([Pattern(("under", PLACEHOLDER), ES)]), tokenize("under x")), 0.7)
+@example((UNDER, tokenize("under 5")), 0.7)
+@example((UNDER, tokenize("under x")), 0.7)
 def test_every_bound_above_the_cap_is_in_the_first_pass(case, w):
     kb, part = case
     cfg = MatcherConfig(w)
-    first, cap = matching._prefix_bounds(kb, part, cfg)
+    head, cap = head_and_cap(kb, part, cfg)
     bound = matching._bounds(kb, part, cfg)
-    assert first == {i: b for i, b in bound.items() if b > cap}
+    top = fuse(1.0, _SEM_CEILING, cfg)
+    assert head == [(b, i) for i, b in sorted(bound.items()) if b > cap]
+    assert all(b == top for b, _ in head)
     assert all(b <= cap for i, b in bound.items() if i not in rarest_held(kb, part))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_base_and_part(), st.sampled_from(WEIGHTS))
+@example((UNDER, tokenize("under 5")), 0.7)
+@example((UNDER, tokenize("under 5")), 0.0)
+def test_the_stream_is_every_bound_in_one_ranking(case, w):
+    """Without its one sentinel, the stream is all of `_bounds` by
+    descending bound, then ascending index."""
+    kb, part = case
+    cfg = MatcherConfig(w)
+    stream = list(matching._ranked(kb, part, cfg))
+    assert [i for _, i in stream].count(None) == 1
+    ranking = sorted(matching._bounds(kb, part, cfg).items(), key=lambda item: (-item[1], item[0]))
+    assert [(b, i) for b, i in stream if i is not None] == [(b, i) for i, b in ranking]
 
 
 @settings(max_examples=200, deadline=None)
@@ -55,18 +89,18 @@ def test_rarest_word_has_the_fewest_postings(case):
 
 
 def test_a_pattern_outside_the_first_pass_can_win(mini_store, monkeypatch):
-    """The first pass holds only "the respond", whose span penalty keeps it
-    at or below the cap; the fallback pass then visits "respond within <N>
-    milliseconds", whose rarest word the part lacks, and it wins on a
-    partial match."""
+    """The stream's head holds only "the respond", whose span penalty keeps
+    it at or below the cap; the visit then goes on past the cap to "respond
+    within <N> milliseconds", whose rarest word the part lacks, and it wins
+    on a partial match."""
     kb = PatternKB.build([
         Pattern(("respond", "within", PLACEHOLDER, "milliseconds"), ES),
         Pattern(("the", "respond"), GE),
     ])
     part = tokenize("the system shall respond within 5 seconds")
     cfg = MatcherConfig()
-    first, cap = matching._prefix_bounds(kb, part, cfg)
-    assert list(first) == [1]
+    head, cap = head_and_cap(kb, part, cfg)
+    assert [i for _, i in head] == [1]
     full_passes = []
     original = matching._bounds
 
@@ -86,8 +120,8 @@ def test_a_pattern_outside_the_first_pass_can_win(mini_store, monkeypatch):
 def test_the_full_bounds_run_for_few_parts_of_a_large_base(
     big_patterns, request_parts, mini_store, monkeypatch
 ):
-    """On a base of about 1,000 patterns most parts are settled by the
-    first pass, and the selections stay those of scoring every pattern."""
+    """On a base of about 1,000 patterns most parts are settled before the
+    cap, and the selections stay those of scoring every pattern."""
     kb = PatternKB.build(big_patterns)
     original = matching._bounds
     full_passes = []
@@ -99,6 +133,6 @@ def test_the_full_bounds_run_for_few_parts_of_a_large_base(
     monkeypatch.setattr(matching, "_bounds", counting_bounds)
     for part in request_parts:
         assert select(kb, mini_store, part) == exhaustive_select(kb, mini_store, part)
-    # a part no pattern matches always takes the full pass
+    # a part no pattern matches always goes on past the cap
     assert any(req.raw == "nothing here matches any pattern word" for req in full_passes)
     assert len(full_passes) <= len(request_parts) // 10, (len(full_passes), len(request_parts))

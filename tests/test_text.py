@@ -133,6 +133,12 @@ class TestSplitExpectations:
                 "The system must be reliable for 5 users",
             ),
             ("The job shall run in 5 s, run in 2 s", "The job shall run in 2 s"),
+            # the prefix's last word, whether or not it follows a modal
+            (
+                "The service supports 100 users and supports 2 GB storage",
+                "The service supports 2 GB storage",
+            ),
+            ("The job shall 5 s and shall 2 s", "The job shall 2 s"),
         ],
     )
     def test_clause_with_its_own_verb_gets_no_copy_of_it(self, raw, second):
@@ -195,14 +201,17 @@ def _retokenizing_split(req):
             end = 3
             for i, t in enumerate(tokens[:first_end]):
                 if t.normalized in DEFAULT_PREFIX_VERBS:
-                    # the governed verb stays out when the clause brings it
-                    end = i + 1 if tokens[i + 1].normalized == tokens[c + 1].normalized else i + 2
+                    end = i + 2
                     break
             prefix = []
             for t in tokens[: min(end, first_end)]:
                 if t.is_number:
                     break
-                prefix.append(t.surface)
+                prefix.append(t)
+            # the last word stays out when the clause brings it
+            if prefix and prefix[-1].normalized == tokens[c + 1].normalized:
+                prefix.pop()
+            prefix = [t.surface for t in prefix]
             part1 = [t.surface for t in tokens[:first_end]]
             part2 = prefix + [t.surface for t in tokens[c + 1 :]]
             return [tokenize(" ".join(part1)), tokenize(" ".join(part2))]

@@ -14,8 +14,9 @@ from perfquant.data import HOLDOUT_FILE, MINI_CORPUS_FILE, path as data_path
 from perfquant.errors import EmptyInput
 from perfquant.evaluation import load_dataset
 
-# --- the former tokenizer and split, verbatim: a frozen-dataclass Token,
-# --- list views, and every chunk through the number regex
+# --- the former tokenizer and split, verbatim but for the split's
+# --- doubled-word rule: a frozen-dataclass Token, list views, and every
+# --- chunk through the number regex
 
 NUMBER_RE = re.compile(r"^(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?$")
 
@@ -84,7 +85,7 @@ def tokenize(text: str) -> TokenizedRequirement:
     return TokenizedRequirement(raw=text, tokens=tuple(tokens))
 
 
-def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
+def _subject_prefix(tokens: tuple[Token, ...], limit: int, clause: Token) -> list[Token]:
     end = 3
     for i, tok in enumerate(tokens[:limit]):
         if tok.normalized in DEFAULT_PREFIX_VERBS:
@@ -95,6 +96,9 @@ def _subject_prefix(tokens: tuple[Token, ...], limit: int) -> list[Token]:
         if tok.is_number:
             break
         prefix.append(tok)
+    # the clause's first word is not copied onto it a second time
+    if prefix and prefix[-1].normalized == clause.normalized:
+        prefix.pop()
     return prefix
 
 
@@ -115,7 +119,7 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
             if not (standalone or attached):
                 continue
             first_end = c if standalone else c + 1
-            prefix = _subject_prefix(req.tokens, first_end)
+            prefix = _subject_prefix(req.tokens, first_end, req.tokens[c + 1])
             return [_part(req.tokens[:first_end]), _part((*prefix, *req.tokens[c + 1 :]))]
 
     return [req]
