@@ -30,8 +30,9 @@ for pattern in candidates:
     result = lcs(pattern, requirement)
     syn_raw, syn = syntactic_score(pattern, result)
     sem = semantic_score(store, pattern, result)
+    matched = " ".join(requirement.normalized[j] for j in result.matched_positions)
     print(f"pattern {pattern.text!r} -> label {pattern.label}")
-    print(f"  common subsequence: {' '.join(result.matched_tokens)!r}"
+    print(f"  common subsequence: {matched!r}"
           f" at positions {result.matched_positions}")
     print(f"  coverage {syn_raw:.3f}, span-penalized {syn:.3f}, semantic {sem:.3f}\n")
 

@@ -34,21 +34,19 @@ _SEM_CEILING = 1.0 + 1e-9
 class LcsResult:
     """Longest common subsequence between a pattern and a requirement.
 
-    `matched_tokens` holds the requirement-side normalized tokens,
-    `matched_positions` their indices in the requirement.  `v_beta` is set
-    when the pattern's placeholder matched a numeric token.
+    Pair k joins requirement position `matched_positions[k]` with pattern
+    position `pattern_positions[k]`; both rise strictly.  `v_beta` is the
+    value of the numeric token paired with the pattern's placeholder, None
+    when the placeholder is unpaired.
     """
 
-    matched_tokens: tuple[str, ...]
     matched_positions: tuple[int, ...]
-    length: int
-    first_index: int
-    last_index: int
+    pattern_positions: tuple[int, ...]
     v_beta: float | None
 
     @classmethod
     def empty(cls) -> "LcsResult":
-        return cls((), (), 0, -1, -1, None)
+        return cls((), (), None)
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,10 @@ class MatchResult:
 
 
 def _reconstruct(
-    masks: list[int], m: int, a: int, b: int, number_bit: int
-) -> tuple[list[int], int | None]:
-    """Requirement indices, in order, of one LCS inside [a, b], and the
-    index paired with the placeholder's bit `number_bit` (None when unpaired).
+    masks: list[int], m: int, a: int, b: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Requirement indices and pattern indices, each ascending, of one
+    nonempty LCS inside [a, b].
 
     The scan of `lcs` is replayed over the window, keeping V after each
     token: the DP cell for pattern prefix i and window prefix j is
@@ -101,25 +99,22 @@ def _reconstruct(
         if u:
             v = (v + u) | (v - u)
         states.append(v)
-    req_indices: list[int] = []
-    number_at = None
+    pairs = []
     i, j = m, b - a + 1
     while i > 0 and j > 0:
         bit = 1 << (i - 1)
         if masks[a + j - 1] & bit:
             i -= 1
             j -= 1
-            req_indices.append(a + j)
-            if bit == number_bit:
-                number_at = a + j
+            pairs.append((a + j, i))
         elif (i - 1) - (states[j] & (bit - 1)).bit_count() >= i - (
             states[j - 1] & (bit | (bit - 1))
         ).bit_count():
             i -= 1
         else:
             j -= 1
-    req_indices.reverse()
-    return req_indices, number_at
+    req_indices, pattern_indices = zip(*reversed(pairs))
+    return req_indices, pattern_indices
 
 
 def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
@@ -179,15 +174,13 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
                     a, b = start, j
                     break
 
-    positions, number_at = _reconstruct(masks, m, a, b, number_bit)
-    return LcsResult(
-        matched_tokens=tuple([req.normalized[j] for j in positions]),
-        matched_positions=tuple(positions),
-        length=len(positions),
-        first_index=positions[0],
-        last_index=positions[-1],
-        v_beta=None if number_at is None else req.tokens[number_at].numeric_value,
-    )
+    positions, pattern_positions = _reconstruct(masks, m, a, b)
+    # -1, no pattern position, when the pattern has no placeholder
+    placeholder = number_bit.bit_length() - 1
+    v_beta = None
+    if placeholder in pattern_positions:
+        v_beta = req.tokens[positions[pattern_positions.index(placeholder)]].numeric_value
+    return LcsResult(positions, pattern_positions, v_beta)
 
 
 def syntactic_score(pattern: Pattern, result: LcsResult) -> tuple[float, float]:
@@ -198,27 +191,32 @@ def syntactic_score(pattern: Pattern, result: LcsResult) -> tuple[float, float]:
     positions when that distance exceeds the LCS length, punishing matches
     scattered across the requirement.
     """
-    if result.length == 0:
+    positions = result.matched_positions
+    if not positions:
         return 0.0, 0.0
-    syn_raw = result.length / len(pattern)
-    span = result.last_index - result.first_index
-    syn = syn_raw * (result.length / max(result.length, span))
+    syn_raw = len(positions) / len(pattern)
+    span = positions[-1] - positions[0]
+    syn = syn_raw * (len(positions) / max(len(positions), span))
     return syn_raw, syn
 
 
 def semantic_score(store: VectorStore, pattern: Pattern, result: LcsResult) -> float:
-    """Cosine of the averaged word vectors of pattern and matched tokens.
+    """Cosine of the averaged word vectors of the pattern and of its
+    matched positions.
 
     The pattern's vector is computed once per store and kept in
-    `store.pattern_vectors`.
+    `store.pattern_vectors`.  The matched tokens give the vector the
+    requirement's would: a word pair joins equal strings, and
+    `sentence_vector` maps both sides of the placeholder pair to "number".
     """
-    if result.length == 0:
+    if not result.pattern_positions:
         return 0.0
     pattern_vector = store.pattern_vectors.get(pattern.tokens)
     if pattern_vector is None:
         pattern_vector = sentence_vector(store, list(pattern.tokens))
         store.pattern_vectors[pattern.tokens] = pattern_vector
-    return cosine(pattern_vector, sentence_vector(store, list(result.matched_tokens)))
+    matched = [pattern.tokens[i] for i in result.pattern_positions]
+    return cosine(pattern_vector, sentence_vector(store, matched))
 
 
 def fuse(syn: float, sem: float, cfg: MatcherConfig) -> float:
@@ -234,14 +232,15 @@ def apply_negation(
     label.  When the winning pattern itself carries an unmatched negator
     (its label already encodes the negated reading), the two negations
     cancel; a negative pattern matched against an un-negated requirement
-    flips back.
+    flips back.  The pattern's matched words are the requirement's, bar
+    the placeholder pair, which holds no negator.
     """
     matched_positions = set(result.matched_positions)
     req_negated = any(
         word in NEGATIONS and i not in matched_positions
         for i, word in enumerate(req.normalized)
     )
-    matched_words = set(result.matched_tokens)
+    matched_words = {pattern.tokens[i] for i in result.pattern_positions}
     pattern_negated = any(t in NEGATIONS and t not in matched_words for t in pattern.tokens)
     if req_negated != pattern_negated:
         return pattern.label.swap_preferences()
@@ -348,9 +347,9 @@ def select(
         # the placeholder alone (a bare number shared with any numeric
         # requirement), or function words alone, carry no structural signal
         if (
-            result.length == 1
+            len(result.pattern_positions) == 1
             if result.v_beta is not None
-            else all(t in _FUNCTION_WORDS for t in result.matched_tokens)
+            else all(pattern.tokens[i] in _FUNCTION_WORDS for i in result.pattern_positions)
         ):
             continue
         syn_raw, syn = syntactic_score(pattern, result)

@@ -149,7 +149,8 @@ def quantify(
     store: VectorStore,
     cfg: MatcherConfig | None = None,
 ) -> QuantificationResult:
-    """Classify a requirement and compile its satisfaction function."""
+    """Classify a requirement and compile its satisfaction function; a
+    constant one gets a warning, as it cannot discriminate."""
     # looked up on `perfquant.data` per call, so a wrapper put there (the
     # benchmark tracer's) still sees one call per request
     direction_words = data.default_directions()
@@ -177,6 +178,13 @@ def quantify(
         function = combine([(p.label, p.v_beta) for p in kept], bounds, direction)
     else:
         function = compile_single(kept[0].label, None, bounds, direction)
+    scores = {s for seg in function.segments for s in (seg.s_lo, seg.s_hi)}
+    if len(scores) == 1:
+        labels = " and ".join(str(p.label) for p in kept)
+        warnings.append(
+            f"{'labels' if len(kept) > 1 else 'label'} {labels} under {direction.value}: "
+            f"g is the constant {scores.pop()}; it cannot discriminate"
+        )
 
     outcome = [(p.text, p.label, p.v_beta, p.match.fused) for p in kept]
     return QuantificationResult(parts=outcome, function=function, warnings=warnings)

@@ -24,7 +24,10 @@ class MetricDirection(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "MetricDirection":
-        return cls(code.strip().lower())
+        try:
+            return cls(code.strip().lower())
+        except ValueError:
+            raise InvalidArgument(f"direction must be min or max, got {code!r}") from None
 
 
 class FragmentKind(Enum):
@@ -34,7 +37,10 @@ class FragmentKind(Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "FragmentKind":
-        return cls(code.strip().upper())
+        try:
+            return cls(code.strip().upper())
+        except ValueError:
+            raise InvalidArgument(f"fragment code must be G, S or E, got {code!r}") from None
 
 
 @dataclass(frozen=True)
@@ -225,8 +231,11 @@ def resolve_intervals(a: Fragment, b: Fragment) -> tuple[Fragment, Fragment]:
 
 
 def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
-    """The metric bounds (lo, hi), checked to be finite with lo < hi and hi - lo finite."""
-    lo, hi = bounds
+    """The metric bounds (lo, hi), checked to be a finite pair with lo < hi and hi - lo finite."""
+    try:
+        lo, hi = bounds
+    except ValueError:
+        raise InvalidArgument(f"bounds must be a pair (lo, hi), got {bounds!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidArgument(f"bounds must be finite, got ({lo}, {hi})")
     if not lo < hi:

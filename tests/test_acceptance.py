@@ -86,9 +86,12 @@ def test_worked_score_reproduction():
 
 @criterion(2, "capacity-requirement LCS is ('be','capable','of','1000'), v_beta=1000")
 def test_lcs_reproduction():
-    result = lcs(pattern("be capable of supporting <N>", "GE"), tokenize(CAPACITY_REQ))
-    assert result.matched_tokens == ("be", "capable", "of", "1000")
-    assert result.length == 4
+    req = tokenize(CAPACITY_REQ)
+    result = lcs(pattern("be capable of supporting <N>", "GE"), req)
+    assert tuple(req.normalized[j] for j in result.matched_positions) == (
+        "be", "capable", "of", "1000"
+    )
+    assert result.pattern_positions == (0, 1, 2, 4)
     assert result.v_beta == 1000.0
 
 
@@ -178,6 +181,13 @@ def _oracle_lcs(p_tokens, r_tokens):
     return (0, -1, -1)
 
 
+def _span_summary(result):
+    """(length, first, last) of an LCS's requirement positions, as
+    `_oracle_lcs` reports them."""
+    positions = result.matched_positions
+    return (len(positions), positions[0], positions[-1]) if positions else (0, -1, -1)
+
+
 def _all_patterns(alphabet, max_len):
     for length in range(1, max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
@@ -192,9 +202,7 @@ def _check_pairs(pattern_tokens_iter, req_token_lists):
         pat = Pattern(p_tokens, label("ES"))
         for r_tokens, req in reqs:
             got = lcs(pat, req)
-            assert (got.length, got.first_index, got.last_index) == _oracle_lcs(
-                p_tokens, r_tokens
-            ), (p_tokens, r_tokens)
+            assert _span_summary(got) == _oracle_lcs(p_tokens, r_tokens), (p_tokens, r_tokens)
             checked += 1
     return checked
 
@@ -240,9 +248,7 @@ def test_lcs_oracle_equivalence():
     box_c = 0
     for p_tokens, r_tokens in sample:
         got = lcs(Pattern(p_tokens, label("ES")), tokenize(" ".join(r_tokens)))
-        assert (got.length, got.first_index, got.last_index) == _oracle_lcs(
-            p_tokens, r_tokens
-        )
+        assert _span_summary(got) == _oracle_lcs(p_tokens, r_tokens)
         box_c += 1
 
     elapsed = time.perf_counter() - started

@@ -1,8 +1,8 @@
 """Every LCS that `select` computes is non-empty.
 
 A candidate shares a word token with the part: `PatternKB.postings` and
-`PatternKB.rarest` leave the placeholder out, and `_prefix_bounds`
-discards it from the part's words.  So no candidate's LCS can be empty.
+`PatternKB.rarest` leave the placeholder out, and `_ranked` discards it
+from the part's words.  So no candidate's LCS can be empty.
 """
 
 import pytest
@@ -38,7 +38,7 @@ def lcs_lengths(mp, kb, store, parts, cfg=None):
 
     def recording_lcs(pattern, req):
         result = lcs(pattern, req)
-        lengths.append(result.length)
+        lengths.append(len(result.matched_positions))
         return result
 
     mp.setattr(matching, "lcs", recording_lcs)

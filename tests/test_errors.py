@@ -12,6 +12,7 @@ from perfquant import (
     FragmentKind,
     MetricDirection,
     Pattern,
+    QuantificationRequest,
     SatisfactionFunction,
     VectorStore,
     combine,
@@ -79,6 +80,30 @@ SITES = {
     "evaluate, NaN": (
         lambda: evaluate(compile_single(ES, 5.0, (0, 10), MIN), math.nan),
         "cannot score nan: not a number",
+    ),
+    "QuantificationRequest, one bound": (
+        lambda: QuantificationRequest("respond within 5 s", bounds=(5,)),
+        "bounds must be a pair (lo, hi), got (5,)",
+    ),
+    "compile_single, three bounds": (
+        lambda: compile_single(ES, 5.0, (0, 1, 2), MIN),
+        "bounds must be a pair (lo, hi), got (0, 1, 2)",
+    ),
+    "combine, one bound": (
+        lambda: combine([(ES, 1.0)], (5,), MIN),
+        "bounds must be a pair (lo, hi), got (5,)",
+    ),
+    "ClassLabel.from_codes, unknown code": (
+        lambda: ClassLabel.from_codes("X", "S"),
+        "fragment code must be G, S or E, got 'X'",
+    ),
+    "FragmentKind.from_code, unknown code": (
+        lambda: FragmentKind.from_code("up"),
+        "fragment code must be G, S or E, got 'up'",
+    ),
+    "MetricDirection.from_code, unknown code": (
+        lambda: MetricDirection.from_code("up"),
+        "direction must be min or max, got 'up'",
     ),
 }
 

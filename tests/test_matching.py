@@ -10,9 +10,11 @@ from perfquant import (
     MatcherConfig,
     Pattern,
     apply_negation,
+    cosine,
     lcs,
     select,
     semantic_score,
+    sentence_vector,
     syntactic_score,
 )
 from perfquant.errors import EmptyKB
@@ -56,24 +58,33 @@ def brute_force_lcs(p_tokens, r_tokens):
     return (0, -1, -1)
 
 
+def span_summary(result):
+    """(length, first, last) of an LCS's requirement positions, as
+    `brute_force_lcs` reports them."""
+    positions = result.matched_positions
+    return (len(positions), positions[0], positions[-1]) if positions else (0, -1, -1)
+
+
 class TestLcs:
     def test_capacity_requirement_worked_example(self):
         req = tokenize("the product shall be capable of handling the existing 1000 users")
         result = lcs(pattern("be capable of supporting <N>", "GE"), req)
-        assert result.matched_tokens == ("be", "capable", "of", "1000")
-        assert result.length == 4
+        assert [req.normalized[j] for j in result.matched_positions] == [
+            "be", "capable", "of", "1000"
+        ]
+        assert len(result.matched_positions) == 4
         assert result.v_beta == 1000.0
 
     def test_identical_sequences(self):
         req = tokenize("more than 100")
         result = lcs(pattern("more than <N>", "GE"), req)
-        assert result.length == 3
-        assert result.first_index == 0 and result.last_index == 2
+        assert result.matched_positions == (0, 1, 2)
+        assert result.pattern_positions == (0, 1, 2)
 
     def test_empty_when_nothing_shared(self):
         result = lcs(pattern("be fast", "SS"), tokenize("throughput exceeds expectations"))
-        assert result.length == 0
-        assert result.matched_tokens == ()
+        assert result.matched_positions == ()
+        assert result.pattern_positions == ()
 
     def test_placeholder_matches_any_number(self):
         req = tokenize("respond within 2.5 seconds")
@@ -83,19 +94,19 @@ class TestLcs:
     def test_placeholder_requires_a_number(self):
         req = tokenize("respond within moments")
         result = lcs(pattern("within <N>"), req)
-        assert result.length == 1
+        assert len(result.matched_positions) == 1
         assert result.v_beta is None
 
     def test_minimal_span_preferred_over_early_start(self):
         # "a ... b" appears spread first and compact later
         req = tokenize("a x x x b y a b")
         result = lcs(pattern("a b"), req)
-        assert (result.first_index, result.last_index) == (6, 7)
+        assert result.matched_positions == (6, 7)
 
     def test_earliest_start_breaks_span_ties(self):
         req = tokenize("a b y a b")
         result = lcs(pattern("a b"), req)
-        assert (result.first_index, result.last_index) == (0, 1)
+        assert result.matched_positions == (0, 1)
 
     def test_matches_oracle_on_random_pairs(self):
         rng = random.Random(11)
@@ -107,7 +118,7 @@ class TestLcs:
             r_toks = [rng.choice(alphabet) for _ in range(rng.randint(1, 8))]
             result = lcs(Pattern(tuple(p_any), label("ES")), tokenize(" ".join(r_toks)))
             expected = brute_force_lcs(p_any, r_toks)
-            assert (result.length, result.first_index, result.last_index) == expected
+            assert span_summary(result) == expected
 
     def test_length_bounds(self):
         rng = random.Random(12)
@@ -115,9 +126,49 @@ class TestLcs:
             p_toks = [rng.choice("ab7") for _ in range(rng.randint(1, 5))]
             r_toks = [rng.choice("ab7") for _ in range(rng.randint(1, 9))]
             result = lcs(Pattern(tuple(p_toks), label("ES")), tokenize(" ".join(r_toks)))
-            assert result.length <= min(len(p_toks), len(r_toks))
+            assert len(result.matched_positions) <= min(len(p_toks), len(r_toks))
         same = tokenize("x y z")
-        assert lcs(pattern("x y z"), same).length == 3
+        assert len(lcs(pattern("x y z"), same).matched_positions) == 3
+
+
+# words of the mini store and literal numerals, some written differently in
+# requirements ("15ms" is two tokens; "٣" is a non-ASCII digit)
+ALIGN_PATTERN_WORDS = ("less", "than", "ms", "load", "1,000", "2.5", "15", "1e3", "٣")
+ALIGN_REQUEST_WORDS = ALIGN_PATTERN_WORDS + ("15ms", "7", "x", "the")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.sampled_from(ALIGN_PATTERN_WORDS + (PLACEHOLDER,)), min_size=1, max_size=8)
+    .filter(lambda tokens: tokens.count(PLACEHOLDER) <= 1),
+    st.lists(st.sampled_from(ALIGN_REQUEST_WORDS), min_size=1, max_size=12),
+)
+def test_alignment_pairs_equal_tokens_or_the_placeholder_with_a_number(
+    mini_store, p_tokens, r_words
+):
+    """Both sides of the LCS rise strictly, each pair joins equal strings
+    or the placeholder with a numeric token, and the semantic score read
+    from the pattern's side is, bit for bit, the one the requirement's
+    matched tokens give."""
+    p = Pattern(tuple(p_tokens), label("ES"))
+    req = tokenize(" ".join(r_words))
+    result = lcs(p, req)
+    req_side, pattern_side = result.matched_positions, result.pattern_positions
+    assert len(req_side) == len(pattern_side)
+    for side in (req_side, pattern_side):
+        assert all(a < b for a, b in zip(side, side[1:]))
+    for j, i in zip(req_side, pattern_side):
+        assert p.tokens[i] == req.normalized[j] or (
+            p.tokens[i] == PLACEHOLDER and j in req.numeric_positions
+        )
+    paired = [j for j, i in zip(req_side, pattern_side) if p.tokens[i] == PLACEHOLDER]
+    assert result.v_beta == (req.tokens[paired[0]].numeric_value if paired else None)
+    if req_side:
+        want = cosine(
+            sentence_vector(mini_store, list(p.tokens)),
+            sentence_vector(mini_store, [req.normalized[j] for j in req_side]),
+        )
+        assert semantic_score(mini_store, p, result).hex() == want.hex()
 
 
 class TestSyntacticScore:
@@ -305,6 +356,14 @@ class TestApplyNegation:
     def test_negative_pattern_on_positive_requirement_flips(self, mini_store):
         kb = PatternKB.build([pattern("never exceed <N>", "SE")])
         match = select(kb, mini_store, tokenize("throughput shall exceed 300 requests"))
+        assert match.label == label("GE")
+
+    def test_unmatched_copy_of_a_matched_negator_does_not_flip(self, mini_store):
+        # the pattern's second "not" is left out of the LCS, but the word is
+        # matched, so the pattern does not count as negated
+        kb = PatternKB.build([pattern("not more than not <N>", "GE")])
+        match = select(kb, mini_store, tokenize("not more than 5"))
+        assert match.lcs.pattern_positions == (0, 1, 2, 4)
         assert match.label == label("GE")
 
     def test_double_swap_is_identity(self):

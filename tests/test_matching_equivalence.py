@@ -119,12 +119,12 @@ def reference_lcs(pattern, req):
     pairs = _reconstruct(match, best[0], best[1])
 
     positions = tuple(req_j for _, req_j in pairs)
-    tokens = tuple(req.tokens[j].normalized for j in positions)
+    pattern_positions = tuple(pat_i for pat_i, _ in pairs)
     v_beta = None
     for pat_i, req_j in pairs:
         if pattern.tokens[pat_i] == PLACEHOLDER:
             v_beta = req.tokens[req_j].numeric_value
-    return LcsResult(tokens, positions, len(pairs), positions[0], positions[-1], v_beta)
+    return LcsResult(positions, pattern_positions, v_beta)
 
 
 # --- LCS equivalence ------------------------------------------------------
@@ -211,19 +211,21 @@ def request_parts():
 
 def scored_patterns(kb, store, req, cfg=MatcherConfig()):
     """Every competing pattern of the base as an unlabelled MatchResult,
-    the pattern vector computed afresh each time."""
+    the pattern vector computed afresh each time, and the matched vector and
+    the function-word rule read from the requirement's side of the LCS."""
     for index, pattern in enumerate(kb.patterns):
         result = lcs(pattern, req)
-        if result.length == 0:
+        matched = [req.normalized[j] for j in result.matched_positions]
+        if not matched:
             continue
-        if result.length == 1 and result.v_beta is not None:
+        if len(matched) == 1 and result.v_beta is not None:
             continue
-        if result.v_beta is None and all(t in _FUNCTION_WORDS for t in result.matched_tokens):
+        if result.v_beta is None and all(t in _FUNCTION_WORDS for t in matched):
             continue
         syn_raw, syn = syntactic_score(pattern, result)
         sem = cosine(
             sentence_vector(store, list(pattern.tokens)),
-            sentence_vector(store, list(result.matched_tokens)),
+            sentence_vector(store, matched),
         )
         fused = fuse(syn, sem, cfg)
         yield MatchResult(index, pattern, result, syn_raw, syn, sem, fused, pattern.label)
@@ -297,7 +299,7 @@ def test_every_score_is_within_its_bound(big_patterns, request_parts, mini_store
     checked, top_sem = 0, 0.0
     for part in request_parts:
         for m in scored_patterns(kb, mini_store, part):
-            assert m.lcs.length <= reach(m.pattern, part)
+            assert len(m.lcs.matched_positions) <= reach(m.pattern, part)
             for cfg in configs:
                 fused = fuse(m.syn, m.sem, cfg)
                 assert fused <= upper_bound(m.pattern, part, cfg), (m.pattern, part.raw, cfg)

@@ -1,10 +1,14 @@
 import builtins
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import perfquant.data
 from perfquant import (
+    ALL_LABELS,
     ClassLabel,
     MatcherConfig,
     MetricDirection,
@@ -213,6 +217,36 @@ class TestQuantify:
                 example_kb,
                 mini_store,
             )
+
+
+def _is_constant(fn):
+    """Whether g takes one value at every segment's ends and midpoint."""
+    points = [v for seg in fn.segments for v in (seg.v_lo, (seg.v_lo + seg.v_hi) / 2, seg.v_hi)]
+    return len({fn(v) for v in points}) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=2, unique=True))
+def test_constant_function_warning_fires_exactly_when_g_is_constant(mini_store, points):
+    """Every label, or pair of labels, under both directions: the warning
+    is there, naming the labels, the direction and the constant, exactly
+    when the compiled g is constant."""
+    words = ("within", "under")[: len(points)]
+    text = "the job shall be " + " and ".join(f"{w} {v}" for w, v in zip(words, points))
+    constant = 0
+    for labels in itertools.product(ALL_LABELS, repeat=len(points)):
+        kb = PatternKB.build([Pattern((w, PLACEHOLDER), lab) for w, lab in zip(words, labels)])
+        for direction in MetricDirection:
+            result = quantify(QuantificationRequest(text, direction=direction), kb, mini_store)
+            assert [lab for _, lab, _, _ in result.parts] == list(labels)
+            warned = [w for w in result.warnings if "cannot discriminate" in w]
+            assert len(warned) == _is_constant(result.function), (labels, direction)
+            if warned:
+                constant += 1
+                assert all(str(lab) in warned[0] for lab in labels)
+                assert f"under {direction.value}:" in warned[0]
+                assert f"constant {result.function(points[0])};" in warned[0]
+    assert 0 < constant < 2 * len(ALL_LABELS) ** len(points)
 
 
 SIGNED_REQ = "The temperature shall stay above -5 degrees"

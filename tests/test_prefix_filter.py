@@ -110,7 +110,7 @@ def test_a_pattern_outside_the_first_pass_can_win(mini_store, monkeypatch):
 
     monkeypatch.setattr(matching, "_bounds", counting_bounds)
     got = select(kb, mini_store, part, cfg)
-    assert got.pattern_index == 0 and got.lcs.length == 3
+    assert got.pattern_index == 0 and len(got.lcs.matched_positions) == 3
     assert got.fused <= cap
     assert got == exhaustive_select(kb, mini_store, part, cfg)
     assert len(full_passes) == 1
