@@ -88,9 +88,11 @@ def _reconstruct(
 
     The scan of `lcs` is replayed over the window, keeping V after each
     token: the DP cell for pattern prefix i and window prefix j is
-    i - popcount(V_j & (2**i - 1)).  The walk back is the table walk's:
-    a match goes diagonally, otherwise up when the cell above is at least
-    the cell to the left.
+    i - popcount(V_j & (2**i - 1)).  The walk back is the table walk's: a
+    match goes diagonally, otherwise up when the cell above is at least the
+    cell to the left, which is when bit i-1 of V_j is set: the cell above
+    is cell(i, j) - 1 + that bit, and without a match cell(i, j) is the
+    larger of the two.
     """
     v = (1 << m) - 1
     states = [v]
@@ -107,9 +109,7 @@ def _reconstruct(
             i -= 1
             j -= 1
             pairs.append((a + j, i))
-        elif (i - 1) - (states[j] & (bit - 1)).bit_count() >= i - (
-            states[j - 1] & (bit | (bit - 1))
-        ).bit_count():
+        elif states[j] & bit:
             i -= 1
         else:
             j -= 1

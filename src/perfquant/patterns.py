@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidArgument, NoExtractableSpan, PatternParseError, UnknownLabelCode
@@ -40,7 +40,8 @@ class Pattern:
 
     tokens: tuple[str, ...]
     label: ClassLabel
-    source_id: str | None = None
+    # provenance only: equality and hashing leave it out
+    source_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.tokens:
@@ -77,11 +78,8 @@ class PatternKB:
 
     @classmethod
     def build(cls, patterns) -> "PatternKB":
-        """Deduplicate (tokens, label) pairs keeping the first occurrence."""
-        unique: dict = {}
-        for p in patterns:
-            unique.setdefault((p.tokens, p.label), p)
-        return cls(tuple(unique.values()))
+        """Deduplicate equal patterns keeping the first occurrence."""
+        return cls(tuple(dict.fromkeys(patterns)))
 
     @cached_property
     def postings(self) -> dict[str, tuple[int, ...]]:

@@ -217,9 +217,7 @@ def resolve_intervals(a: Fragment, b: Fragment) -> tuple[Fragment, Fragment]:
     keeping the left half.  Non-conflicting pairs pass through unchanged,
     so the operation is idempotent.
     """
-    if a.v_lo != b.v_lo or a.v_hi != b.v_hi:
-        return a, b
-    if a.kind == b.kind and a.s_lo == b.s_lo and a.s_hi == b.s_hi:
+    if a.v_lo != b.v_lo or a.v_hi != b.v_hi or a == b:
         return a, b
     mid = (a.v_lo + a.v_hi) / 2.0
     if not math.isfinite(mid):

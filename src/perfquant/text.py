@@ -26,7 +26,7 @@ DEFAULT_PREFIX_VERBS = ("shall", "should", "must", "will", "can")
 class Token(NamedTuple):
     surface: str
     normalized: str
-    is_number: bool
+    # a number's value; None for every other token
     numeric_value: float | None
 
 
@@ -53,9 +53,8 @@ class TokenizedRequirement:
     def __post_init__(self) -> None:
         tokens = self.tokens
         object.__setattr__(self, "normalized", tuple([t.normalized for t in tokens]))
-        object.__setattr__(
-            self, "numeric_positions", tuple([i for i, t in enumerate(tokens) if t.is_number])
-        )
+        numeric = [i for i, t in enumerate(tokens) if t.numeric_value is not None]
+        object.__setattr__(self, "numeric_positions", tuple(numeric))
 
 
 def _number(surface: str, digits: str) -> Token:
@@ -63,7 +62,7 @@ def _number(surface: str, digits: str) -> Token:
     a '-' directly precedes the digits in `surface`."""
     value = float(digits.replace(",", ""))
     lead = surface[: len(surface) - len(surface.lstrip(string.punctuation))]
-    return _make_token((surface, digits.lower(), True, -value if lead.endswith("-") else value))
+    return _make_token((surface, digits.lower(), -value if lead.endswith("-") else value))
 
 
 def tokenize(text: str) -> TokenizedRequirement:
@@ -102,7 +101,7 @@ def tokenize(text: str) -> TokenizedRequirement:
                 cut = chunk.index(stripped) + len(unit[1])
                 tokens.append(_number(chunk[:cut], unit[1]))
                 chunk, stripped = chunk[cut:], unit[2]
-        tokens.append(_make_token((chunk, (stripped or chunk).lower(), False, None)))
+        tokens.append(_make_token((chunk, (stripped or chunk).lower(), None)))
     return TokenizedRequirement(text, tuple(tokens))
 
 
@@ -132,8 +131,8 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
     """Split a requirement holding two expectation points into one each.
 
     Looks for a coordinating connective strictly between two numeric
-    tokens (either a standalone connective token, or trailing ','/';'
-    punctuation on a word) and splits there, copying the subject prefix of
+    tokens (a standalone connective token, or a one-character one, ','
+    or ';', ending a word) and splits there, copying the subject prefix of
     the first clause onto the second.  Each part holds the requirement's
     own tokens, and its `raw` is their surfaces joined by single spaces.
     Requirements with fewer than two numeric tokens come back unchanged as
@@ -143,7 +142,7 @@ def split_expectations(req: TokenizedRequirement) -> list[TokenizedRequirement]:
     for a, b in zip(nums, nums[1:]):
         for c in range(a + 1, b):
             standalone = req.normalized[c] in DEFAULT_CONNECTIVES
-            attached = not standalone and req.tokens[c].surface[-1] in ",;"
+            attached = not standalone and req.tokens[c].surface[-1] in DEFAULT_CONNECTIVES
             if not (standalone or attached):
                 continue
             first_end = c if standalone else c + 1

@@ -46,7 +46,7 @@ def _match_matrix(pattern, req):
     rows = []
     for p_tok in pattern.tokens:
         if p_tok == PLACEHOLDER:
-            rows.append([t.is_number for t in req.tokens])
+            rows.append([t.numeric_value is not None for t in req.tokens])
         else:
             rows.append([t.normalized == p_tok for t in req.tokens])
     return rows
@@ -248,7 +248,7 @@ def reach(pattern, req):
     """Pattern positions whose token occurs in the requirement; the
     placeholder counts when the requirement holds a number."""
     words = {t.normalized for t in req.tokens}
-    has_number = any(t.is_number for t in req.tokens)
+    has_number = any(t.numeric_value is not None for t in req.tokens)
     return sum(t in words or (t == PLACEHOLDER and has_number) for t in pattern.tokens)
 
 

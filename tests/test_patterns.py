@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from perfquant import ClassLabel, Pattern, extract_pattern, load_patterns
+from perfquant import ALL_LABELS, ClassLabel, Pattern, extract_pattern, load_patterns
 from perfquant.data import path as data_path
 from perfquant.errors import NoExtractableSpan, PatternParseError, UnknownLabelCode
 from perfquant.matching import NEGATIONS
@@ -30,6 +32,31 @@ class TestPatternType:
         kb = PatternKB.build([a, b, c])
         assert len(kb) == 2
         assert kb.patterns[0].source_id == "a"
+
+    def test_equality_and_hash_ignore_the_source(self):
+        a = Pattern(("more", "than", "<N>"), label("GE"), source_id="a")
+        b = Pattern(("more", "than", "<N>"), label("GE"), source_id="b")
+        assert a == b and hash(a) == hash(b)
+        assert a != Pattern(("more", "than", "<N>"), label("SE"), source_id="a")
+
+
+# few distinct (tokens, label) pairs, so that most lists repeat some
+PATTERNS = st.builds(
+    Pattern,
+    st.sampled_from([("within", PLACEHOLDER), ("at", "most", PLACEHOLDER), ("fast",)]),
+    st.sampled_from(ALL_LABELS[:3]),
+    st.none() | st.sampled_from("abc"),
+)
+
+
+@given(st.lists(PATTERNS, max_size=12))
+def test_build_keeps_the_first_of_each_tokens_and_label(patterns):
+    unique = {}
+    for p in patterns:
+        unique.setdefault((p.tokens, p.label), p)
+    kept = PatternKB.build(patterns).patterns
+    assert len(kept) == len(unique)
+    assert all(a is b for a, b in zip(kept, unique.values()))
 
 
 class TestLoadSave:

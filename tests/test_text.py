@@ -35,13 +35,13 @@ class TestTokenize:
         req = tokenize("The search shall take no longer than 15 seconds.")
         assert len(req.tokens) == 9
         fifteen = req.tokens[7]
-        assert fifteen.is_number and fifteen.numeric_value == 15
+        assert fifteen.numeric_value == 15
         assert req.tokens[-1].normalized == "seconds"
 
     def test_single_word(self):
         req = tokenize("fast")
         assert len(req.tokens) == 1
-        assert not req.tokens[0].is_number
+        assert req.tokens[0].numeric_value is None
 
     def test_thousands_separator(self):
         req = tokenize("supporting 1,000 users")
@@ -57,7 +57,7 @@ class TestTokenize:
     def test_sign_before_digits_sets_value_only(self, chunk, value):
         token = tokenize(f"stay above {chunk} degrees").tokens[2]
         assert token.numeric_value == value
-        assert token.is_number
+        assert token.numeric_value is not None
         assert token.normalized == chunk.strip("()+-")
 
     @pytest.mark.parametrize(
@@ -68,8 +68,8 @@ class TestTokenize:
     def test_unit_suffixed_number_becomes_two_tokens(self, chunk, value, unit):
         req = tokenize(f"under {chunk} always")
         number, suffix = req.tokens[1:3]
-        assert number.is_number and number.numeric_value == value
-        assert (suffix.normalized, suffix.is_number) == (unit, False)
+        assert number.numeric_value == value
+        assert (suffix.normalized, suffix.numeric_value) == (unit, None)
         assert number.surface + suffix.surface == chunk
         assert tokenize(" ".join(t.surface for t in req.tokens)).tokens == req.tokens
 
@@ -79,14 +79,14 @@ class TestTokenize:
     )
     def test_exponent_notation_is_a_number(self, chunk, value):
         token = tokenize(f"respond within {chunk} ms").tokens[2]
-        assert token.is_number and token.numeric_value == value
+        assert token.numeric_value == value
         assert token.normalized == chunk.lstrip("-").lower()
 
     @pytest.mark.parametrize("chunk", ["1st", "22nd", "3RD", "4th", "1e3.5", "15.ms", "a15ms"])
     def test_ordinals_and_other_forms_stay_one_non_number(self, chunk):
         req = tokenize(f"the {chunk} run")
         assert len(req.tokens) == 3
-        assert not req.tokens[1].is_number
+        assert req.tokens[1].numeric_value is None
 
     def test_punctuation_stripped(self):
         req = tokenize("(Response) time, shall be 2s!")
@@ -184,14 +184,14 @@ def test_split_keeps_every_token_but_the_connective_in_order(chunks):
         copied += 1
         assert second[copied:] == tail[1:]
     assert second[:copied] == surfaces[:copied]
-    assert not any(t.is_number for t in req.tokens[:copied])
+    assert not any(t.numeric_value is not None for t in req.tokens[:copied])
 
 
 def _retokenizing_split(req):
     """Reference split that builds each part as text and tokenizes it again:
     the part's surfaces joined by single spaces."""
     tokens = req.tokens
-    nums = [i for i, t in enumerate(tokens) if t.is_number]
+    nums = [i for i, t in enumerate(tokens) if t.numeric_value is not None]
     for a, b in zip(nums, nums[1:]):
         for c in range(a + 1, b):
             standalone = tokens[c].normalized in DEFAULT_CONNECTIVES
@@ -205,7 +205,7 @@ def _retokenizing_split(req):
                     break
             prefix = []
             for t in tokens[: min(end, first_end)]:
-                if t.is_number:
+                if t.numeric_value is not None:
                     break
                 prefix.append(t)
             # the last word stays out when the clause brings it
@@ -220,7 +220,7 @@ def _retokenizing_split(req):
 
 def _fields(parts):
     return [
-        (p.raw, [(t.surface, t.normalized, t.is_number, t.numeric_value) for t in p.tokens])
+        (p.raw, [(t.surface, t.normalized, t.numeric_value) for t in p.tokens])
         for p in parts
     ]
 
