@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +30,10 @@ def _vector_defect(vec: np.ndarray) -> str | None:
     return "a squared norm that overflows"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorStore:
     """Word vectors by word, each of shape (dimension,), finite, and with a
-    finite squared norm.
+    finite squared norm.  A store compares and hashes by identity.
 
     `pattern_vectors` maps a pattern's token sequence to its sentence
     vector; the matcher fills it, so `entries` must not change once the
@@ -42,6 +42,7 @@ class VectorStore:
 
     dimension: int
     entries: dict[str, np.ndarray]
+    pattern_vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
@@ -54,7 +55,6 @@ class VectorStore:
                     )
                 if defect := _vector_defect(vec):
                     raise VectorFormatError(f"vector of {word!r} has {defect}")
-        object.__setattr__(self, "pattern_vectors", {})
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import string
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -134,6 +135,10 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
     tokens = tuple(t if t == PLACEHOLDER else t.lower() for t in text.split())
     if not tokens:
         raise PatternParseError(f"{where}: empty pattern text")
+    for t in tokens:
+        # tokenize strips the punctuation around a word, so such a token never matches
+        if t != PLACEHOLDER and t.strip(string.punctuation) not in (t, ""):
+            raise PatternParseError(f"{where}: token {t!r} has punctuation around a word")
     try:
         return Pattern(tokens, label)
     except ValueError as exc:

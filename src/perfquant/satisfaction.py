@@ -26,7 +26,7 @@ class MetricDirection(Enum):
     def from_code(cls, code: str) -> "MetricDirection":
         try:
             return cls(code.strip().lower())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise InvalidArgument(f"direction must be min or max, got {code!r}") from None
 
 
@@ -39,7 +39,7 @@ class FragmentKind(Enum):
     def from_code(cls, code: str) -> "FragmentKind":
         try:
             return cls(code.strip().upper())
-        except ValueError:
+        except (AttributeError, ValueError):
             raise InvalidArgument(f"fragment code must be G, S or E, got {code!r}") from None
 
 
@@ -232,9 +232,13 @@ def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
     """The metric bounds (lo, hi), checked to be a finite pair with lo < hi and hi - lo finite."""
     try:
         lo, hi = bounds
-    except ValueError:
+    except (TypeError, ValueError):
         raise InvalidArgument(f"bounds must be a pair (lo, hi), got {bounds!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
+    try:
+        finite = math.isfinite(lo) and math.isfinite(hi)
+    except TypeError:
+        raise InvalidArgument(f"bounds must be numbers, got ({lo!r}, {hi!r})") from None
+    if not finite:
         raise InvalidArgument(f"bounds must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise InvalidArgument(f"bounds must satisfy lo < hi, got ({lo}, {hi})")

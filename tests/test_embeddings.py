@@ -118,6 +118,13 @@ class TestVectorStore:
         with pytest.raises(DimensionMismatch, match="respond"):
             VectorStore(3, {"within": np.ones(3), "respond": vec})
 
+    def test_compares_and_hashes_by_identity(self):
+        entries = {"respond": np.ones(3)}
+        a, b = VectorStore(3, entries), VectorStore(3, dict(entries))
+        assert a != b and a == a
+        assert {a: "a", b: "b"}[a] == "a"
+        assert a.pattern_vectors == {} and a.pattern_vectors is not b.pattern_vectors
+
 
 class TestSentenceVector:
     def test_singleton(self, make_store):

@@ -23,6 +23,7 @@ from perfquant import (
 )
 from perfquant.errors import InvalidArgument, PerfQuantError
 from perfquant.patterns import PLACEHOLDER
+from perfquant.satisfaction import check_bounds
 
 MIN = MetricDirection.MINIMIZE
 ES = ClassLabel.from_codes("E", "S")
@@ -104,6 +105,35 @@ SITES = {
     "MetricDirection.from_code, unknown code": (
         lambda: MetricDirection.from_code("up"),
         "direction must be min or max, got 'up'",
+    ),
+    # a wrong type is a bad argument too
+    "QuantificationRequest, a number as bounds": (
+        lambda: QuantificationRequest("respond within 5 s", bounds=5),
+        "bounds must be a pair (lo, hi), got 5",
+    ),
+    "QuantificationRequest, text bounds": (
+        lambda: QuantificationRequest("respond within 5 s", bounds=("a", "b")),
+        "bounds must be numbers, got ('a', 'b')",
+    ),
+    "QuantificationRequest, a None bound": (
+        lambda: QuantificationRequest("respond within 5 s", bounds=(None, 1)),
+        "bounds must be numbers, got (None, 1)",
+    ),
+    "check_bounds, a string": (
+        lambda: check_bounds("01"),
+        "bounds must be numbers, got ('0', '1')",
+    ),
+    "ClassLabel.from_codes, None": (
+        lambda: ClassLabel.from_codes(None, "S"),
+        "fragment code must be G, S or E, got None",
+    ),
+    "FragmentKind.from_code, an int": (
+        lambda: FragmentKind.from_code(1),
+        "fragment code must be G, S or E, got 1",
+    ),
+    "MetricDirection.from_code, an int": (
+        lambda: MetricDirection.from_code(3),
+        "direction must be min or max, got 3",
     ),
 }
 

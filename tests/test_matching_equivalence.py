@@ -164,6 +164,18 @@ def test_lcs_equals_windowed_dp_reference(case):
     assert lcs(pattern, req) == reference_lcs(pattern, req)
 
 
+def test_lcs_walk_back_equals_the_reference_on_short_dense_pairs():
+    # four words on short sides make up-or-left ties inside the chosen
+    # window common: about one pair in seventy aligns differently when the
+    # walk-back reads the wrong column's bit
+    rng = random.Random(2024)
+    words = ("a", "b", "c", "7")
+    for _ in range(4000):
+        pattern = Pattern(tuple(rng.choice(words) for _ in range(rng.randint(1, 8))), ES)
+        req = requirement([rng.choice(words + ("x",)) for _ in range(rng.randint(1, 14))])
+        assert lcs(pattern, req) == reference_lcs(pattern, req)
+
+
 # --- pruning through the inverted index -----------------------------------
 
 FAMILIES = (

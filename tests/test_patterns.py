@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -72,6 +74,21 @@ class TestLoadSave:
         ]
         assert kb.patterns[0].label == label("GE")
         assert kb.patterns[1].label == label("SE")
+
+    @pytest.mark.parametrize("token", ["seconds.", "<n>", "<N>,", "(ms)"])
+    def test_token_with_punctuation_around_a_word_reports_line(self, tmp_path, token):
+        f = tmp_path / "p.tsv"
+        f.write_text(f"more than <N>\tG\tE\nrespond within {token}\tE\tS\n", encoding="utf-8")
+        with pytest.raises(PatternParseError, match=f":2: token {re.escape(repr(token.lower()))}"):
+            load_patterns(f)
+
+    def test_inner_and_bare_punctuation_tokens_load(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_text("can't exceed <N>\tS\tE\n, within <N>\tE\tS\n", encoding="utf-8")
+        assert [p.tokens for p in load_patterns(f).patterns] == [
+            ("can't", "exceed", PLACEHOLDER),
+            (",", "within", PLACEHOLDER),
+        ]
 
     def test_empty_file_is_empty_kb(self, tmp_path):
         f = tmp_path / "p.tsv"
