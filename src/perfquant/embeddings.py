@@ -45,7 +45,13 @@ class VectorStore:
     pattern_vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dimension <= 0:
+        try:
+            positive = self.dimension > 0
+        except TypeError:
+            raise InvalidArgument(
+                f"vector dimension must be a number, got {self.dimension!r}"
+            ) from None
+        if not positive:
             raise InvalidArgument("vector dimension must be positive")
         with np.errstate(over="ignore"):
             for word, vec in self.entries.items():

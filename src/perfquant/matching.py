@@ -56,7 +56,11 @@ class MatcherConfig:
     w: float = 0.7
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.w <= 1.0:
+        try:
+            inside = 0.0 <= self.w <= 1.0
+        except TypeError:
+            raise InvalidArgument(f"weight w must be a number, got {self.w!r}") from None
+        if not inside:
             raise InvalidArgument(f"weight w must lie in [0, 1], got {self.w}")
 
 

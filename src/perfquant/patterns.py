@@ -45,15 +45,20 @@ class Pattern:
     source_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tokens, tuple):
+            raise InvalidArgument(f"pattern tokens must be a tuple, got {self.tokens!r}")
         if not self.tokens:
             raise InvalidArgument("pattern must have at least one token")
         if sum(1 for t in self.tokens if t == PLACEHOLDER) > 1:
             raise InvalidArgument(f"pattern has multiple {PLACEHOLDER} placeholders")
-        for t in self.tokens:
-            if t == PLACEHOLDER:
-                continue
-            if not t or t != t.lower() or any(ch.isspace() for ch in t):
-                raise InvalidArgument(f"bad pattern token {t!r}")
+        try:
+            for t in self.tokens:
+                if t == PLACEHOLDER:
+                    continue
+                if not t or t != t.lower() or any(ch.isspace() for ch in t):
+                    raise InvalidArgument(f"bad pattern token {t!r}")
+        except AttributeError:  # a token that is not a string
+            raise InvalidArgument(f"bad pattern token {t!r}") from None
 
     @property
     def text(self) -> str:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ExpectationOutOfBounds, InvalidArgument, MissingExpectation
 
@@ -91,11 +93,17 @@ class Fragment:
     s_hi: float
 
     def __post_init__(self) -> None:
-        if self.v_lo > self.v_hi:
-            raise InvalidArgument(f"fragment interval reversed: [{self.v_lo}, {self.v_hi}]")
-        for s in (self.s_lo, self.s_hi):
-            if not 0.0 <= s <= 1.0:
-                raise InvalidArgument(f"satisfaction score {s} outside [0, 1]")
+        try:
+            if self.v_lo > self.v_hi:
+                raise InvalidArgument(f"fragment interval reversed: [{self.v_lo}, {self.v_hi}]")
+            for s in (self.s_lo, self.s_hi):
+                if not 0.0 <= s <= 1.0:
+                    raise InvalidArgument(f"satisfaction score {s} outside [0, 1]")
+        except TypeError:
+            raise InvalidArgument(
+                "fragment interval and scores must be numbers, got "
+                f"({self.v_lo!r}, {self.v_hi!r}, {self.s_lo!r}, {self.s_hi!r})"
+            ) from None
         if self.kind is FragmentKind.EQUAL and self.s_lo != self.s_hi:
             raise InvalidArgument("indifferent fragment must have a constant score")
 
@@ -129,6 +137,18 @@ class SatisfactionFunction:
     def bounds(self) -> tuple[float, float]:
         return self.segments[0].v_lo, self.segments[-1].v_hi
 
+    @cached_property
+    def _table(self) -> tuple:
+        """What `evaluate` reads, built on its first call: lo, hi, g(lo),
+        g(hi), the segments' v_hi knots, and per segment (v_lo, v_hi - v_lo,
+        s_lo, s_hi - s_lo)."""
+        segs = self.segments
+        return (
+            segs[0].v_lo, segs[-1].v_hi, segs[0].s_lo, segs[-1].s_hi,
+            tuple(seg.v_hi for seg in segs),
+            tuple((seg.v_lo, seg.v_hi - seg.v_lo, seg.s_lo, seg.s_hi - seg.s_lo) for seg in segs),
+        )
+
     def __call__(self, v: float) -> float:
         return evaluate(self, v)
 
@@ -143,6 +163,26 @@ class SatisfactionFunction:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
+
+    @classmethod
+    def from_json(cls, text: str) -> "SatisfactionFunction":
+        """The function `to_json` wrote, built through the constructors, so
+        malformed input raises `InvalidArgument`.  The JSON holds no fragment
+        kinds: a segment reads back as Greater, Smaller or Equal by its
+        scores, so a sloped fragment clamped flat returns as Equal."""
+        try:
+            payload = json.loads(text)
+            direction = MetricDirection.from_code(payload["direction"])
+            rows = [(s["v_lo"], s["v_hi"], s["s_lo"], s["s_hi"]) for s in payload["segments"]]
+            kinds = [
+                FragmentKind.EQUAL if s_lo == s_hi
+                else FragmentKind.GREATER if s_lo < s_hi
+                else FragmentKind.SMALLER
+                for _, _, s_lo, s_hi in rows
+            ]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise InvalidArgument(f"malformed satisfaction function JSON: {exc!r}") from None
+        return cls(tuple(Fragment(k, *row) for k, row in zip(kinds, rows)), direction)
 
 
 def _clamp01(s: float) -> float:
@@ -298,7 +338,11 @@ def combine(
     for _, v in parts:
         if v is None:
             raise InvalidArgument("combine requires an expectation point per part")
-        if not lo <= v <= hi:
+        try:
+            inside = lo <= v <= hi
+        except TypeError:
+            raise InvalidArgument(f"expectation point must be a number, got {v!r}") from None
+        if not inside:
             raise ExpectationOutOfBounds(f"expectation {v} outside bounds ({lo}, {hi})")
 
     unique = sorted(dict.fromkeys(parts), key=lambda p: p[1])
@@ -313,16 +357,19 @@ def combine(
 def evaluate(fn: SatisfactionFunction, v: float) -> float:
     """Score a measured value; clamps outside the bounds, right segment wins at knots.
 
-    NaN raises `InvalidArgument`.
+    The segment is the first whose v_hi exceeds v, found by bisection over
+    the knots; one of zero width is never it.  Its score is computed as
+    `Fragment.value_at` computes it, so the bits are the same.  NaN and a
+    value that does not compare with the bounds raise `InvalidArgument`.
     """
-    lo, hi = fn.bounds
-    if v <= lo:
-        return fn.segments[0].s_lo
-    if v >= hi:
-        return fn.segments[-1].s_hi
-    for seg in fn.segments:
-        if v < seg.v_hi:
-            return seg.value_at(v)
-    # the last segment ends at hi, so only NaN, which fails every
-    # comparison, gets here
-    raise InvalidArgument(f"cannot score {v!r}: not a number")
+    lo, hi, s_first, s_last, knots, rows = fn._table
+    try:
+        if v <= lo:
+            return s_first
+        if v >= hi:
+            return s_last
+        # NaN fails every comparison, so it bisects past the last knot
+        v_lo, width, s_lo, rise = rows[bisect_right(knots, v)]
+    except (TypeError, IndexError):
+        raise InvalidArgument(f"cannot score {v!r}: not a number") from None
+    return s_lo + (v - v_lo) / width * rise

@@ -10,6 +10,7 @@ from perfquant import (
     ClassLabel,
     Fragment,
     FragmentKind,
+    MatcherConfig,
     MetricDirection,
     Pattern,
     QuantificationRequest,
@@ -134,6 +135,61 @@ SITES = {
     "MetricDirection.from_code, an int": (
         lambda: MetricDirection.from_code(3),
         "direction must be min or max, got 3",
+    ),
+    "MatcherConfig, a text weight": (
+        lambda: MatcherConfig(w="a"),
+        "weight w must be a number, got 'a'",
+    ),
+    "MatcherConfig, a None weight": (
+        lambda: MatcherConfig(w=None),
+        "weight w must be a number, got None",
+    ),
+    "evaluate, a text value": (
+        lambda: evaluate(compile_single(ES, 5.0, (0, 10), MIN), "3"),
+        "cannot score '3': not a number",
+    ),
+    "evaluate, None": (
+        lambda: evaluate(compile_single(ES, 5.0, (0, 10), MIN), None),
+        "cannot score None: not a number",
+    ),
+    "Fragment, a text bound": (
+        lambda: Fragment(G, "a", 1.0, 0.0, 1.0),
+        "fragment interval and scores must be numbers, got ('a', 1.0, 0.0, 1.0)",
+    ),
+    "compile_single, a text point": (
+        lambda: compile_single(ES, "5", (0, 10), MIN),
+        "expectation point must be a number, got '5'",
+    ),
+    "VectorStore, a text dimension": (
+        lambda: VectorStore("3", {}),
+        "vector dimension must be a number, got '3'",
+    ),
+    "Pattern, a list of tokens": (
+        lambda: Pattern(["a"], ES),
+        "pattern tokens must be a tuple, got ['a']",
+    ),
+    "Pattern, a token that is not a string": (lambda: Pattern((1,), ES), "bad pattern token 1"),
+    "SatisfactionFunction.from_json, not JSON": (
+        lambda: SatisfactionFunction.from_json("g(v)"),
+        "malformed satisfaction function JSON: "
+        "JSONDecodeError('Expecting value: line 1 column 1 (char 0)')",
+    ),
+    "SatisfactionFunction.from_json, no segments": (
+        lambda: SatisfactionFunction.from_json('{"direction": "min"}'),
+        "malformed satisfaction function JSON: KeyError('segments')",
+    ),
+    "SatisfactionFunction.from_json, a text score": (
+        lambda: SatisfactionFunction.from_json(
+            '{"direction": "min", "segments": [{"v_lo": 0, "v_hi": 1, "s_lo": "1", "s_hi": 0}]}'
+        ),
+        "malformed satisfaction function JSON: "
+        "TypeError(\"'<' not supported between instances of 'str' and 'int'\")",
+    ),
+    "SatisfactionFunction.from_json, a reversed segment": (
+        lambda: SatisfactionFunction.from_json(
+            '{"direction": "max", "segments": [{"v_lo": 1, "v_hi": 0, "s_lo": 0, "s_hi": 1}]}'
+        ),
+        "fragment interval reversed: [1, 0]",
     ),
 }
 

@@ -13,6 +13,7 @@ from perfquant import (
     Fragment,
     FragmentKind,
     MetricDirection,
+    SatisfactionFunction,
     combine,
     compile_single,
     evaluate,
@@ -430,6 +431,50 @@ FINITE = st.one_of(
 )
 
 
+def former_evaluate(fn, v):
+    """The former `evaluate`: a scan for the first segment with v < v_hi."""
+    lo, hi = fn.bounds
+    if v <= lo:
+        return fn.segments[0].s_lo
+    if v >= hi:
+        return fn.segments[-1].s_hi
+    for seg in fn.segments:
+        if v < seg.v_hi:
+            return seg.value_at(v)
+    raise InvalidArgument(f"cannot score {v!r}: not a number")
+
+
+def _bits(x):
+    """A score's type and exact bits: a clamp returns a score as it was built."""
+    return type(x), float(x).hex()
+
+
+def probe_points(fn):
+    """Every knot, the floats either side of it, and points beyond the bounds."""
+    knots = [fn.segments[0].v_lo, *(seg.v_hi for seg in fn.segments)]
+    lo, hi = fn.bounds
+    near = [math.nextafter(k, d) for k in knots for d in (-math.inf, math.inf)]
+    return [*knots, *near, lo - 1, hi + 1, -math.inf, math.inf]
+
+
+@st.composite
+def tilings(draw):
+    """A function built directly from its segments: int or float knots, some
+    repeated so that their segment has zero width, and any scores."""
+    numbers = draw(st.sampled_from([st.integers(-10**6, 10**6), FINITE]))
+    values = draw(st.lists(numbers, min_size=1, max_size=6))
+    knots = sorted(values + draw(st.lists(st.sampled_from(values), max_size=3)))
+    if len(knots) == 1:
+        knots *= 2
+    segments = []
+    for v_lo, v_hi in zip(knots, knots[1:]):
+        kind = draw(st.sampled_from(list(FragmentKind)))
+        s_lo = draw(st.floats(0, 1))
+        s_hi = s_lo if kind is E else draw(st.floats(0, 1))
+        segments.append(Fragment(kind, v_lo, v_hi, s_lo, s_hi))
+    return SatisfactionFunction(tuple(segments), draw(st.sampled_from(list(MetricDirection))))
+
+
 @st.composite
 def compile_inputs(draw):
     """Label, expectation point, bounds and direction for `compile_single`.
@@ -507,6 +552,67 @@ class TestProperties:
                 assert seg.s_lo == seg.s_hi
 
 
+class TestEvaluateAgainstTheScan:
+    """`evaluate` bisects a table compiled once; the former scan is its oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(tilings(), st.lists(FINITE, max_size=5))
+    def test_direct_tilings(self, fn, extra):
+        for v in (*probe_points(fn), *extra):
+            assert _bits(evaluate(fn, v)) == _bits(former_evaluate(fn, v)), v
+            assert _bits(fn(v)) == _bits(former_evaluate(fn, v)), v
+
+    @settings(max_examples=300, deadline=None)
+    @given(compile_inputs(), st.data())
+    def test_compiled_functions(self, inputs, data):
+        lab, v_beta, bounds, direction = inputs
+        assume(math.isfinite(bounds[1] - bounds[0]))
+        fn = compile_single(lab, v_beta, bounds, direction)
+        inside = data.draw(st.lists(st.floats(*bounds), max_size=5))
+        for v in (*probe_points(fn), *inside):
+            assert _bits(evaluate(fn, v)) == _bits(former_evaluate(fn, v)), v
+
+    def test_the_right_segment_wins_at_a_knot_and_zero_width_is_skipped(self):
+        fn = SatisfactionFunction(
+            (
+                Fragment(G, 0, 5, 0.0, 0.5),
+                Fragment(E, 5, 5, 0.25, 0.25),
+                Fragment(S, 5, 10, 1.0, 0.0),
+            ),
+            MIN,
+        )
+        assert evaluate(fn, 5) == 1.0
+        below = math.nextafter(5, 0)
+        assert evaluate(fn, below) == fn.segments[0].value_at(below) < 0.5
+
+    @pytest.mark.parametrize("v", [math.nan, None, "3", [1.0]])
+    def test_not_a_number_raises(self, v):
+        fn = compile_single(label("ES"), 5, (0, 10), MIN)
+        with pytest.raises(InvalidArgument, match="not a number"):
+            evaluate(fn, v)
+        with pytest.raises(InvalidArgument, match="not a number"):
+            fn(v)
+
+    def test_the_table_is_built_on_first_evaluation(self):
+        fn = compile_single(label("ES"), 5, (0, 10), MIN)
+        assert "_table" not in vars(fn)
+        fn(3)
+        table = vars(fn)["_table"]
+        fn(7)
+        assert vars(fn)["_table"] is table
+        assert fn == compile_single(label("ES"), 5, (0, 10), MIN)
+
+
+def _fields(seg):
+    return seg.v_lo, seg.v_hi, seg.s_lo, seg.s_hi
+
+
+def _kind_shown(seg):
+    if seg.s_lo == seg.s_hi:
+        return E
+    return G if seg.s_lo < seg.s_hi else S
+
+
 class TestSerialization:
     def test_json_shape_and_field_order(self):
         fn = compile_single(label("ES"), 2, (0, 10), MIN)
@@ -523,6 +629,27 @@ class TestSerialization:
             combine(parts, (0, 10), MIN).to_json()
             == combine(parts, (0, 10), MIN).to_json()
         )
+
+    @pytest.mark.parametrize("direction", [MIN, MAX])
+    def test_from_json_round_trip(self, direction):
+        # every label alone, and with each label's second part; the JSON
+        # holds no kinds, so a sloped fragment clamped flat reads back as Equal
+        for a, b in itertools.product(ALL_LABELS, (None, *ALL_LABELS)):
+            parts = [(a, 10 / 3)] if b is None else [(a, 10 / 3), (b, 7)]
+            fn = combine(parts, (0, 10), direction)
+            text = fn.to_json()
+            rebuilt = SatisfactionFunction.from_json(text)
+            assert rebuilt.to_json() == text
+            assert [type(x) for seg in rebuilt.segments for x in _fields(seg)] == [
+                type(x) for seg in fn.segments for x in _fields(seg)
+            ]
+            shown = all(seg.kind is _kind_shown(seg) for seg in fn.segments)
+            assert (rebuilt == fn) is shown
+            assert rebuilt.segments == tuple(
+                Fragment(_kind_shown(seg), *_fields(seg)) for seg in fn.segments
+            )
+            grid = [10 * k / 20 for k in range(21)]
+            assert [_bits(rebuilt(v)) for v in grid] == [_bits(fn(v)) for v in grid]
 
     def test_full_float_precision(self):
         fn = compile_single(label("ES"), 1 / 3, (0, 1), MIN)
