@@ -137,11 +137,13 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
     fixed width, so patterns of any length take the same path.
 
     A start or an end token that matches no pattern position never bounds
-    a minimal window.  One pass from the first matching token gives the
-    whole LCS length and the first end reaching it; each later matching
-    start scans forward only while a strictly narrower window is possible,
-    and the search stops once the width equals the length.  The pairs are
-    then reconstructed inside the chosen window only.
+    a minimal window, and a token with a zero mask leaves V unchanged, so
+    every pass steps over `starts`, the positions with a nonzero mask,
+    only.  One pass over them gives the whole LCS length and the first end
+    reaching it; each later start scans forward only while a strictly
+    narrower window is possible, and the search stops once the width
+    equals the length.  The pairs are then reconstructed inside the chosen
+    window only.
     """
     table = pattern.bitmasks
     masks = [table.get(word, 0) for word in req.normalized]
@@ -153,12 +155,11 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
     starts = [j for j, mask in enumerate(masks) if mask]
     if not starts:
         return LcsResult.empty()
-    n = len(masks)
     m = len(pattern.tokens)
     full = (1 << m) - 1
 
     v, total, a, b = full, 0, starts[0], starts[0]
-    for j in range(a, n):
+    for j in starts:
         u = v & masks[j]
         if u:
             v = (v + u) | (v - u)
@@ -166,11 +167,15 @@ def lcs(pattern: Pattern, req: TokenizedRequirement) -> LcsResult:
             if length > total:
                 total, b = length, j
 
-    for start in starts[1:]:
+    for k in range(1, len(starts)):
         if b - a + 1 == total:
             break
+        start = starts[k]
+        end = start + b - a
         v = full
-        for j in range(start, min(n, start + b - a)):
+        for j in starts[k:]:
+            if j >= end:
+                break
             u = v & masks[j]
             if u:
                 v = (v + u) | (v - u)
@@ -239,10 +244,10 @@ def apply_negation(
     flips back.  The pattern's matched words are the requirement's, bar
     the placeholder pair, which holds no negator.
     """
-    matched_positions = set(result.matched_positions)
-    req_negated = any(
-        word in NEGATIONS and i not in matched_positions
-        for i, word in enumerate(req.normalized)
+    # most requirements hold no negator, and `isdisjoint` tells in C
+    positions = result.matched_positions
+    req_negated = not NEGATIONS.isdisjoint(req.normalized) and any(
+        word in NEGATIONS and i not in positions for i, word in enumerate(req.normalized)
     )
     matched_words = {pattern.tokens[i] for i in result.pattern_positions}
     pattern_negated = any(t in NEGATIONS and t not in matched_words for t in pattern.tokens)
@@ -286,17 +291,21 @@ def _ranked(
     Most bounds are never needed (prefix filtering: Chaudhuri, Ganti &
     Kaushik, "A primitive operator for similarity joins in data cleaning",
     ICDE 2006; Bayardo, Ma & Srikant, "Scaling up all pairs similarity
-    search", WWW 2007).  A pattern whose rarest word is not in the
-    requirement misses that position, so its reach is at most len - 1 and
-    its bound at most cap = fuse((longest - 1) / longest, _SEM_CEILING),
-    longest being the base's longest pattern: (len - 1) / len grows with
-    len, and rounding is monotone.  Every bound above the cap is therefore
-    top = fuse(1.0, _SEM_CEILING), that of a pattern of full reach listed
-    in `PatternKB.rarest` under a requirement word.  Those patterns come
-    first, then (cap, None); only a visit that goes on past it has
-    `_bounds` count every candidate's reach, and the bounds at or below the
-    cap follow.  Without the sentinel, the stream is all of `_bounds` in
-    one ranking.
+    search", WWW 2007).  Let the word set be the requirement's words, with
+    the placeholder when it holds a number.  A pattern with a distinct
+    token outside the word set misses that token's positions, so its reach
+    is at most len - 1 and its bound at most cap = fuse((longest - 1) /
+    longest, _SEM_CEILING), longest being the base's longest pattern:
+    (len - 1) / len grows with len, and rounding is monotone.  Every bound
+    above the cap is therefore top = fuse(1.0, _SEM_CEILING), that of a
+    pattern of full reach, whose distinct tokens all lie in the word set.
+    Those patterns are a set-containment query: a pattern's path in
+    `PatternKB.word_trie` is its distinct tokens, so the walk that descends
+    only into children whose token is in the word set reaches exactly the
+    nodes where they are listed.  They come first, in ascending index, then
+    (cap, None); only a visit that goes on past it has `_bounds` count every
+    candidate's reach, and the bounds at or below the cap follow.  Without
+    the sentinel, the stream is all of `_bounds` in one ranking.
     """
     words = set(req.normalized)
     # the placeholder's position is reached by a number, never by a word
@@ -306,8 +315,13 @@ def _ranked(
     cap = fuse((kb.longest - 1) / kb.longest, _SEM_CEILING, cfg)
     top = fuse(1.0, _SEM_CEILING, cfg)
     if top > cap:
-        patterns, covered = kb.patterns, words.issuperset
-        full = {i for t in words for i in kb.rarest.get(t, ()) if covered(patterns[i].bitmasks)}
+        full, nodes = [], [kb.word_trie]
+        # the loop also visits the children appended to `nodes` as it runs
+        for listed, children in nodes:
+            full += listed
+            if children:
+                for t in children.keys() & words:
+                    nodes.append(children[t])
         yield from ((top, i) for i in sorted(full))
     yield cap, None
     rest = [(b, i) for i, b in _bounds(kb, req, cfg).items() if b <= cap]

@@ -103,18 +103,34 @@ class PatternKB:
         return {token: tuple(indices) for token, indices in index.items()}
 
     @cached_property
-    def rarest(self) -> dict[str, tuple[int, ...]]:
-        """Word token -> the indices of the patterns whose rarest word it is,
-        ascending: the word with the fewest `postings`, ties to the lower
-        token.  A pattern of the placeholder alone has no rarest word."""
+    def word_trie(self) -> tuple[list[int], dict]:
+        """A prefix tree over the patterns' token sets (PRETTI: Jampani &
+        Pudi, "Using prefix-trees for efficiently computing set joins",
+        DASFAA 2005).  A node is (the ascending indices of the patterns
+        listed there, token -> child node).
+
+        A pattern's path is its distinct tokens: the placeholder first, then
+        the words by ascending `len(postings[t])`, ties to the lower token;
+        the pattern is listed at the node where its path ends.  A pattern of
+        the placeholder alone has no word and is left out.
+        """
         postings = self.postings
-        index: dict[str, list[int]] = {}
+        rank = dict(zip(postings, zip(map(len, postings.values()), postings)))
+        rank[PLACEHOLDER] = (-1, PLACEHOLDER)
+        root: tuple[list[int], dict] = ([], {})
         for i, pattern in enumerate(self.patterns):
-            words = [t for t in pattern.tokens if t != PLACEHOLDER]
-            if words:
-                word = min(words, key=lambda t: (len(postings[t]), t))
-                index.setdefault(word, []).append(i)
-        return {token: tuple(indices) for token, indices in index.items()}
+            # `set`, not `Pattern.bitmasks`: that would build every pattern's masks up front
+            path = sorted(set(pattern.tokens), key=rank.__getitem__)
+            if path == [PLACEHOLDER]:
+                continue
+            node = root
+            for token in path:
+                child = node[1].get(token)
+                if child is None:
+                    child = node[1][token] = ([], {})
+                node = child
+            node[0].append(i)
+        return root
 
     @cached_property
     def longest(self) -> int:

@@ -94,6 +94,10 @@ class Fragment:
 
     def __post_init__(self) -> None:
         try:
+            if not (-math.inf < self.v_lo < math.inf and -math.inf < self.v_hi < math.inf):
+                raise InvalidArgument(
+                    f"fragment interval must be finite, got [{self.v_lo}, {self.v_hi}]"
+                )
             if self.v_lo > self.v_hi:
                 raise InvalidArgument(f"fragment interval reversed: [{self.v_lo}, {self.v_hi}]")
             for s in (self.s_lo, self.s_hi):

@@ -1,8 +1,9 @@
 """Every LCS that `select` computes is non-empty.
 
 A candidate shares a word token with the part: `PatternKB.postings` and
-`PatternKB.rarest` leave the placeholder out, and `_ranked` discards it
-from the part's words.  So no candidate's LCS can be empty.
+`PatternKB.word_trie` list no pattern of the placeholder alone, and
+`_ranked` discards it from the part's words.  So no candidate's LCS can be
+empty.
 """
 
 import pytest

@@ -156,6 +156,18 @@ SITES = {
         lambda: Fragment(G, "a", 1.0, 0.0, 1.0),
         "fragment interval and scores must be numbers, got ('a', 1.0, 0.0, 1.0)",
     ),
+    "Fragment, a NaN bound": (
+        lambda: SatisfactionFunction((Fragment(G, math.nan, 1.0, 0.0, 1.0),), MIN),
+        "fragment interval must be finite, got [nan, 1.0]",
+    ),
+    "Fragment, infinite bounds": (
+        lambda: SatisfactionFunction((Fragment(G, -math.inf, math.inf, 0.0, 1.0),), MIN),
+        "fragment interval must be finite, got [-inf, inf]",
+    ),
+    "Fragment, two text bounds": (
+        lambda: Fragment(G, "a", "b", 0.0, 1.0),
+        "fragment interval and scores must be numbers, got ('a', 'b', 0.0, 1.0)",
+    ),
     "compile_single, a text point": (
         lambda: compile_single(ES, "5", (0, 10), MIN),
         "expectation point must be a number, got '5'",
@@ -184,6 +196,12 @@ SITES = {
         ),
         "malformed satisfaction function JSON: "
         "TypeError(\"'<' not supported between instances of 'str' and 'int'\")",
+    ),
+    "SatisfactionFunction.from_json, a NaN bound": (
+        lambda: SatisfactionFunction.from_json(
+            '{"direction": "min", "segments": [{"v_lo": NaN, "v_hi": 1, "s_lo": 0, "s_hi": 1}]}'
+        ),
+        "fragment interval must be finite, got [nan, 1]",
     ),
     "SatisfactionFunction.from_json, a reversed segment": (
         lambda: SatisfactionFunction.from_json(

@@ -176,6 +176,29 @@ def test_lcs_walk_back_equals_the_reference_on_short_dense_pairs():
         assert lcs(pattern, req) == reference_lcs(pattern, req)
 
 
+def test_lcs_equals_the_reference_on_long_sparse_pairs():
+    # 30-40 token parts with 2-6 matching positions: the scan steps over the
+    # matching positions only, so the filler and numbers between them must
+    # not move the chosen window; repeated pattern tokens make windows of
+    # equal width compete
+    rng = random.Random(31)
+    for _ in range(1500):
+        words = rng.sample(("a", "b", "c", "d"), rng.randint(1, 3))
+        tokens = [rng.choice(words) for _ in range(rng.randint(1, 6))]
+        placeholder = rng.random() < 0.5
+        if placeholder:
+            tokens.insert(rng.randint(0, len(tokens)), PLACEHOLDER)
+        n = rng.randint(30, 40)
+        # a number matches the placeholder, so it is filler only without one
+        filler = ("x", "y", "the") if placeholder else ("x", "y", "the", "5", "1,000")
+        req = [rng.choice(filler) for _ in range(n)]
+        hits = words + ["7"] if placeholder else words
+        for j in rng.sample(range(n), rng.randint(2, 6)):
+            req[j] = rng.choice(hits)
+        pattern = Pattern(tuple(tokens), ES)
+        assert lcs(pattern, requirement(req)) == reference_lcs(pattern, requirement(req))
+
+
 # --- pruning through the inverted index -----------------------------------
 
 FAMILIES = (

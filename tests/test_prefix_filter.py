@@ -1,11 +1,12 @@
-"""select's ranked stream: the patterns whose rarest word the part holds,
-then the cap, then the rest.
+"""select's ranked stream: the patterns whose every distinct token the
+part holds, found by walking `PatternKB.word_trie`, then the cap, then the
+rest.
 
-A pattern whose rarest word is not in the part misses a position, so its
-bound is at most the cap, fuse((longest - 1) / longest, _SEM_CEILING).
-The stream's head, its first pass before (cap, None), holds only the
-bounds above the cap; the full `_bounds` runs only when the visit goes on
-past the cap.
+A pattern with a token the part lacks, such as its rarest word, misses a
+position, so its bound is at most the cap, fuse((longest - 1) / longest,
+_SEM_CEILING).  The stream's head, its first pass before (cap, None),
+holds only the bounds above the cap; the full `_bounds` runs only when the
+visit goes on past the cap.
 """
 
 from hypothesis import example, given, settings
@@ -27,9 +28,30 @@ WEIGHTS = (0.0, 0.3, 0.7, 1.0)
 ES, GE = ClassLabel.from_codes("E", "S"), ClassLabel.from_codes("G", "E")
 
 
+def ranked_words(kb, pattern):
+    """The pattern's distinct words by ascending number of postings, ties
+    to the lower token."""
+    return sorted(set(pattern.tokens) - {PLACEHOLDER}, key=lambda t: (len(kb.postings[t]), t))
+
+
 def rarest_held(kb, part):
-    """The patterns whose rarest word occurs in the part."""
-    return {i for t in part.tokens for i in kb.rarest.get(t.normalized, ())}
+    """The patterns whose rarest word, the first of their ranked words,
+    occurs in the part."""
+    held = {t.normalized for t in part.tokens}
+    return {i for i, p in enumerate(kb.patterns) if set(ranked_words(kb, p)[:1]) & held}
+
+
+def trie_listings(kb):
+    """Pattern index -> the token path of every node listing it; and the
+    lists of indices at every node."""
+    listings, lists, nodes = {}, [], [((), kb.word_trie)]
+    while nodes:
+        path, (listed, children) = nodes.pop()
+        lists.append(listed)
+        for i in listed:
+            listings.setdefault(i, []).append(path)
+        nodes += [((*path, t), child) for t, child in children.items()]
+    return listings, lists
 
 
 def head_and_cap(kb, part, cfg):
@@ -78,13 +100,18 @@ def test_the_stream_is_every_bound_in_one_ranking(case, w):
 
 @settings(max_examples=200, deadline=None)
 @given(small_base_and_part())
-def test_rarest_word_has_the_fewest_postings(case):
+@example((PatternKB.build([Pattern((PLACEHOLDER,), ES), *UNDER.patterns]), tokenize("under 5")))
+@example((PatternKB.build([Pattern(("at", "most", "at", PLACEHOLDER), ES)]), tokenize("x")))
+def test_each_word_pattern_is_listed_once_where_its_ranked_tokens_end(case):
     kb, _ = case
-    owners = {i: word for word, indices in kb.rarest.items() for i in indices}
+    listings, lists = trie_listings(kb)
     for i, pattern in enumerate(kb.patterns):
-        words = [t for t in pattern.tokens if t != PLACEHOLDER]
-        assert owners.get(i) == min(words, key=lambda t: (len(kb.postings[t]), t), default=None)
-    assert all(list(indices) == sorted(indices) for indices in kb.rarest.values())
+        words = ranked_words(kb, pattern)
+        if words:
+            assert listings[i] == [(PLACEHOLDER,) * (PLACEHOLDER in pattern.tokens) + tuple(words)]
+        else:
+            assert i not in listings
+    assert all(listed == sorted(listed) for listed in lists)
     assert kb.longest == max(len(p) for p in kb.patterns)
 
 
