@@ -1,12 +1,17 @@
-"""Word-vector storage and sentence-vector arithmetic for semantic matching."""
+"""Word-vector storage and sentence-vector arithmetic for semantic matching.
+
+Sums are `math.fsum`, correctly rounded (Shewchuk, DCG 18, 1997), so no
+mean or cosine depends on the order of its terms or on the machine.
+"""
 
 from __future__ import annotations
 
 import math
 import os
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import mul
 
 from .errors import DimensionMismatch, InvalidArgument, VectorFormatError
 from .patterns import PLACEHOLDER
@@ -16,33 +21,36 @@ from .text import NUMBER_RE
 NUMBER_WORD = "number"
 
 
-def _vector_defect(vec: np.ndarray) -> str | None:
+def _vector_defect(vec: array) -> str | None:
     """Why `vec` cannot serve as a word vector, or None.
 
     A finite vector whose squared norm overflows would make its cosines
-    NaN, and a NaN score compares false with every other.  Callers hold
-    np.errstate(over="ignore"), entered once per store, not per vector.
+    NaN, and a NaN score compares false with every other.
     """
-    if math.isfinite(vec @ vec):
-        return None
-    if not np.isfinite(vec).all():
+    try:
+        if math.isfinite(math.fsum(map(mul, vec, vec))):
+            return None
+    except OverflowError:  # finite squares whose sum passes the float range
+        return "a squared norm that overflows"
+    if not all(map(math.isfinite, vec)):
         return "a non-finite component"
     return "a squared norm that overflows"
 
 
 @dataclass(frozen=True, eq=False)
 class VectorStore:
-    """Word vectors by word, each of shape (dimension,), finite, and with a
-    finite squared norm.  A store compares and hashes by identity.
+    """Word vectors by word, each an `array('d')` of `dimension` finite
+    components with a finite squared norm, made from any 1-D sequence of
+    numbers (a numpy array too).  A store compares and hashes by identity.
 
-    `pattern_vectors` maps a pattern's token sequence to its sentence
-    vector; the matcher fills it, so `entries` must not change once the
-    store is in use.
+    `sentence_vectors` memoizes `sentence_vector` by token tuple: it grows
+    by one entry per new token sequence passed in, and `entries` must not
+    change once the store is in use.
     """
 
     dimension: int
-    entries: dict[str, np.ndarray]
-    pattern_vectors: dict = field(default_factory=dict, init=False, repr=False)
+    entries: dict[str, array]
+    sentence_vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -53,29 +61,30 @@ class VectorStore:
             ) from None
         if not positive:
             raise InvalidArgument("vector dimension must be positive")
-        with np.errstate(over="ignore"):
-            for word, vec in self.entries.items():
-                if np.shape(vec) != (self.dimension,):
-                    raise DimensionMismatch(
-                        f"vector of {word!r} has shape {np.shape(vec)}, expected ({self.dimension},)"
-                    )
-                if defect := _vector_defect(vec):
-                    raise VectorFormatError(f"vector of {word!r} has {defect}")
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
+        entries = {}
+        for word, vec in self.entries.items():
+            try:
+                if not (isinstance(vec, array) and vec.typecode == "d"):
+                    vec = array("d", vec)
+            except TypeError:  # a scalar, or a sequence of sequences
+                raise DimensionMismatch(f"vector of {word!r} is not 1-D numbers") from None
+            if len(vec) != self.dimension:
+                raise DimensionMismatch(
+                    f"vector of {word!r} has {len(vec)} components, expected {self.dimension}"
+                )
+            if defect := _vector_defect(vec):
+                raise VectorFormatError(f"vector of {word!r} has {defect}")
+            entries[word] = vec
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def get(self, word: str) -> np.ndarray | None:
-        return self.entries.get(word)
 
 
 def load_vectors(path: str | os.PathLike) -> VectorStore:
     """Read a word2vec text file: header "vocab_size dimension", then one
     word plus `dimension` floats per line."""
-    with open(path, encoding="utf-8-sig") as fh, np.errstate(over="ignore"):
+    with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise VectorFormatError(f"{path}: header must be 'vocab_size dimension'")
@@ -86,7 +95,7 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
         if vocab_size < 0 or dimension <= 0:
             raise VectorFormatError(f"{path}: bad header values {vocab_size} {dimension}")
 
-        entries: dict[str, np.ndarray] = {}
+        entries: dict[str, array] = {}
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:
@@ -99,7 +108,7 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
             if word in entries:
                 raise VectorFormatError(f"{path}: line {lineno}: duplicate word {word!r}")
             try:
-                vec = np.array([float(x) for x in values], dtype=np.float64)
+                vec = array("d", map(float, values))
             except ValueError as exc:
                 raise VectorFormatError(f"{path}: line {lineno}: non-numeric component") from exc
             if defect := _vector_defect(vec):
@@ -113,38 +122,61 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
     return VectorStore(dimension=dimension, entries=entries)
 
 
-def sentence_vector(store: VectorStore, tokens: list[str]) -> np.ndarray:
-    """Mean of the in-vocabulary token vectors.
+def sentence_vector(store: VectorStore, tokens: Sequence[str]) -> tuple[float, ...]:
+    """Mean of the in-vocabulary token vectors, each component fsum / n.
 
     Placeholders and numeric literals map to the vector of the literal word
     "number" when present; unknown tokens are skipped; if nothing is known
-    the zero vector comes back (a neutral semantic signal).
+    the zero vector comes back (a neutral semantic signal).  Token
+    sequences holding the same known vectors, in any order and with any
+    unknown tokens, give equal vectors.  The result, a tuple, is memoized
+    in `store.sentence_vectors` and shared by later calls.
     """
     if not tokens:
         raise InvalidArgument("sentence_vector needs at least one token")
-    vectors = []
-    for token in tokens:
-        # `NUMBER_RE` starts with \d, and `str.isdigit` accepts every \d character
-        numeric = token == PLACEHOLDER or (token[:1].isdigit() and NUMBER_RE.match(token))
-        key = NUMBER_WORD if numeric else token
-        vec = store.entries.get(key)
-        if vec is not None:
-            vectors.append(vec)
-    if not vectors:
-        return np.zeros(store.dimension, dtype=np.float64)
-    # np.mean(vectors, axis=0) without its dispatch: the same sum and division
-    return np.add.reduce(np.array(vectors), axis=0) / len(vectors)
+    key = tuple(tokens)
+    mean = store.sentence_vectors.get(key)
+    if mean is None:
+        vectors = []
+        for token in key:
+            # `NUMBER_RE` starts with \d, and `str.isdigit` accepts every \d character
+            numeric = token == PLACEHOLDER or (token[:1].isdigit() and NUMBER_RE.match(token))
+            vec = store.entries.get(NUMBER_WORD if numeric else token)
+            if vec is not None:
+                vectors.append(vec)
+        n = len(vectors)
+        components = [math.fsum(c) / n for c in zip(*vectors)] if n else [0.0] * store.dimension
+        mean = store.sentence_vectors[key] = tuple(components)
+    return mean
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm inputs score 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"cosine of shapes {u.shape} and {v.shape}")
-    # np.linalg.norm of a 1-D float64 array is sqrt(x.dot(x))
-    nu = math.sqrt(u.dot(u))
-    nv = math.sqrt(v.dot(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u.dot(v) / (nu * nv))
+def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """Cosine similarity in [-1, 1]; a zero vector scores 0.
+
+    Equal vectors score exactly 1.0 (0 when zero).  Otherwise the result is
+    fsum(u * v) / (sqrt(fsum(u * u)) * sqrt(fsum(v * v))), clamped to
+    [-1, 1], within a few ulps of the real cosine.  Anything but two 1-D
+    sequences of numbers of one length raises DimensionMismatch; a
+    non-finite component, or a squared norm or dot product past the float
+    range, raises InvalidArgument.
+    """
+    try:
+        u, v = tuple(u), tuple(v)
+        if len(u) != len(v):
+            raise DimensionMismatch(f"cosine of lengths {len(u)} and {len(v)}")
+        same = u == v
+        uu = math.fsum(map(mul, u, u))
+        vv = uu if same else math.fsum(map(mul, v, v))
+        # finite squared norms bound every product u_i * v_i
+        if math.isfinite(uu) and math.isfinite(vv):
+            if same:
+                return 1.0 if any(u) else 0.0
+            if uu == 0.0 or vv == 0.0:
+                return 0.0
+            c = math.fsum(map(mul, u, v)) / (math.sqrt(uu) * math.sqrt(vv))
+            return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
+    except OverflowError:  # finite terms whose sum passes the float range
+        pass
+    except (TypeError, ValueError):  # a scalar, text, or a vector of vectors
+        raise DimensionMismatch("cosine needs two 1-D sequences of numbers") from None
+    raise InvalidArgument("cosine needs finite vectors with finite squared norms")

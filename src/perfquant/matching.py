@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -25,9 +26,8 @@ NEGATIONS = frozenset({
     "nothing", "none",
 })
 
-# a cosine of finite vectors exceeds 1.0 by a few ulps at most; `select`
-# bounds the semantic score by this
-_SEM_CEILING = 1.0 + 1e-9
+# `cosine` clamps to 1.0, and `select` bounds the semantic score by this
+_SEM_CEILING = 1.0
 
 
 @dataclass(frozen=True)
@@ -213,19 +213,17 @@ def semantic_score(store: VectorStore, pattern: Pattern, result: LcsResult) -> f
     """Cosine of the averaged word vectors of the pattern and of its
     matched positions.
 
-    The pattern's vector is computed once per store and kept in
-    `store.pattern_vectors`.  The matched tokens give the vector the
-    requirement's would: a word pair joins equal strings, and
-    `sentence_vector` maps both sides of the placeholder pair to "number".
+    Both vectors come from `sentence_vector`, memoized per store.  The
+    matched tokens give the vector the requirement's would: a word pair
+    joins equal strings, and `sentence_vector` maps both sides of the
+    placeholder pair to "number".  A match of every in-vocabulary pattern
+    position averages the same vectors as the pattern, so `cosine` gets
+    equal vectors and the score is exactly 1.0.
     """
     if not result.pattern_positions:
         return 0.0
-    pattern_vector = store.pattern_vectors.get(pattern.tokens)
-    if pattern_vector is None:
-        pattern_vector = sentence_vector(store, list(pattern.tokens))
-        store.pattern_vectors[pattern.tokens] = pattern_vector
     matched = [pattern.tokens[i] for i in result.pattern_positions]
-    return cosine(pattern_vector, sentence_vector(store, matched))
+    return cosine(sentence_vector(store, pattern.tokens), sentence_vector(store, matched))
 
 
 def fuse(syn: float, sem: float, cfg: MatcherConfig) -> float:
@@ -256,8 +254,8 @@ def apply_negation(
     return pattern.label
 
 
-def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dict[int, float]:
-    """Each candidate's upper bound on its fused score, by pattern index.
+def _reach(kb: PatternKB, req: TokenizedRequirement) -> Counter:
+    """Each candidate's reach, by pattern index.
 
     Reach is counted term at a time over `PatternKB.postings` (Turtle &
     Flood, "Query evaluation: strategies and optimizations", IPM 31, 1995),
@@ -265,67 +263,73 @@ def _bounds(kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig) -> dic
     requirement holds a number.
     """
     reach = Counter(chain.from_iterable(kb.postings.get(t, ()) for t in set(req.normalized)))
-    patterns = kb.patterns
     if req.numeric_positions:
+        patterns = kb.patterns
         reach.update([i for i in reach if PLACEHOLDER in patterns[i].bitmasks])
-    return {i: fuse(r / len(patterns[i]), _SEM_CEILING, cfg) for i, r in reach.items()}
+    return reach
 
 
 def _ranked(
     kb: PatternKB, req: TokenizedRequirement, cfg: MatcherConfig
-) -> Iterator[tuple[float, int | None]]:
-    """The candidates as (bound, pattern index), by descending bound, then
-    ascending index, with (cap, None) standing for the bounds not yet computed.
+) -> Iterator[tuple[tuple, int | None]]:
+    """The candidates as (key bound, pattern index), by descending key
+    bound, with one sentinel (cap key, None) for the bounds not yet counted.
 
     A candidate shares a word token with the requirement
     (`PatternKB.postings`): a pattern holds at most one placeholder, so any
     other pattern's LCS is empty or the placeholder alone.  Its reach is the
     number of its positions whose token occurs in the requirement, the
     placeholder counting when the requirement holds a number; each LCS pair
-    uses a distinct such position, so the LCS length is at most the reach.
-    The syntactic score is at most reach / len, as the span penalty is a
-    factor of at most 1 and rounding is monotone, and a cosine exceeds 1.0
-    by a few ulps at most, so the bound fuse(reach / len, _SEM_CEILING)
-    holds in floating point for any w in [0, 1].
+    uses a distinct such position, so syn is at most s = reach / len, as the
+    span penalty is a factor of at most 1 and rounding is monotone.  sem is
+    at most _SEM_CEILING = 1.0, where `cosine` clamps it, and fuse is
+    monotone in both, so at any w the key (fused, syn, -len, -index) is at
+    most the key bound (fuse(s, 1.0), s, -len, -index): when fused reaches
+    fuse(s, 1.0), syn is still at most s.  A contiguous match of every
+    position reaches its key bound when a pattern word has a vector.
 
     Most bounds are never needed (prefix filtering: Chaudhuri, Ganti &
     Kaushik, "A primitive operator for similarity joins in data cleaning",
     ICDE 2006; Bayardo, Ma & Srikant, "Scaling up all pairs similarity
     search", WWW 2007).  Let the word set be the requirement's words, with
     the placeholder when it holds a number.  A pattern with a distinct
-    token outside the word set misses that token's positions, so its reach
-    is at most len - 1 and its bound at most cap = fuse((longest - 1) /
-    longest, _SEM_CEILING), longest being the base's longest pattern:
-    (len - 1) / len grows with len, and rounding is monotone.  Every bound
-    above the cap is therefore top = fuse(1.0, _SEM_CEILING), that of a
-    pattern of full reach, whose distinct tokens all lie in the word set.
-    Those patterns are a set-containment query: a pattern's path in
-    `PatternKB.word_trie` is its distinct tokens, so the walk that descends
-    only into children whose token is in the word set reaches exactly the
-    nodes where they are listed.  They come first, in ascending index, then
-    (cap, None); only a visit that goes on past it has `_bounds` count every
-    candidate's reach, and the bounds at or below the cap follow.  Without
-    the sentinel, the stream is all of `_bounds` in one ranking.
+    token outside the word set misses a position, so its s is at most near
+    = (longest - 1) / longest, longest being the base's longest pattern
+    ((len - 1) / len grows with len, and rounding is monotone), and its key
+    bound is below the cap key (fuse(near, 1.0), near, inf).  Every other
+    candidate has s = 1.0 and a key bound above the cap key.  Those patterns
+    are a set-containment query: a pattern's path in `PatternKB.word_trie`
+    is its distinct tokens, so the walk that descends only into children
+    whose token is in the word set reaches exactly the nodes where they are
+    listed.  They come first, by ascending (len, index), then the cap key;
+    only a visit that goes on past it has `_reach` count every candidate,
+    and the rest follow by descending (s, -len, -index), the order of their
+    key bounds, as fuse(s, 1.0) does not fall as s grows.
     """
     words = set(req.normalized)
     # the placeholder's position is reached by a number, never by a word
     words.discard(PLACEHOLDER)
     if req.numeric_positions:
         words.add(PLACEHOLDER)
-    cap = fuse((kb.longest - 1) / kb.longest, _SEM_CEILING, cfg)
+    patterns = kb.patterns
+    full, nodes = [], [kb.word_trie]
+    # the loop also visits the children appended to `nodes` as it runs
+    for listed, children in nodes:
+        full += listed
+        if children:
+            for t in children.keys() & words:
+                nodes.append(children[t])
     top = fuse(1.0, _SEM_CEILING, cfg)
-    if top > cap:
-        full, nodes = [], [kb.word_trie]
-        # the loop also visits the children appended to `nodes` as it runs
-        for listed, children in nodes:
-            full += listed
-            if children:
-                for t in children.keys() & words:
-                    nodes.append(children[t])
-        yield from ((top, i) for i in sorted(full))
-    yield cap, None
-    rest = [(b, i) for i, b in _bounds(kb, req, cfg).items() if b <= cap]
-    yield from sorted(rest, key=lambda item: (-item[0], item[1]))
+    for n, i in sorted([(len(patterns[i].tokens), i) for i in full]):
+        yield (top, 1.0, -n, -i), i
+    near = (kb.longest - 1) / kb.longest
+    yield (fuse(near, _SEM_CEILING, cfg), near, math.inf), None
+    rest = [
+        (r / n, -n, -i) for i, r in _reach(kb, req).items() if r < (n := len(patterns[i].tokens))
+    ]
+    rest.sort(reverse=True)
+    for s, neg_len, neg_index in rest:
+        yield (fuse(s, _SEM_CEILING, cfg), s, neg_len, neg_index), -neg_index
 
 
 def select(
@@ -342,13 +346,15 @@ def select(
     pattern index, making selection deterministic.
 
     Candidates are scored best first, in the order of `_ranked`, by an
-    upper bound on their fused score, and the visit stops at the first
-    bound strictly below the best fused score so far (threshold pruning
-    over an inverted index: Fagin, Lotem & Naor, "Optimal aggregation
-    algorithms for middleware", PODS 2001; Broder et al., "Efficient query
-    evaluation using a two-level retrieval process", CIKM 2003): a
-    candidate whose bound equals it could still tie on fused and win on the
-    tie-break.
+    upper bound on their whole key (fused, syn, -len, -index), and the
+    visit stops at the first key bound below the best key so far
+    (threshold pruning over an inverted index: Fagin, Lotem & Naor,
+    "Optimal aggregation algorithms for middleware", PODS 2001; Broder et
+    al., "Efficient query evaluation using a two-level retrieval process",
+    CIKM 2003): no later candidate's key can pass it, so the winner is the
+    one scoring every candidate picks, at any w.  A contiguous match of
+    every position reaches its key bound, so the visit ends at the first
+    such match of the top tier.
     """
     if not kb.patterns:
         raise EmptyKB("pattern knowledge base is empty")
@@ -356,7 +362,7 @@ def select(
 
     best = None
     for bound, index in _ranked(kb, req, cfg):
-        if best is not None and bound < best[0][0]:
+        if best is not None and bound < best[0]:
             break
         if index is None:
             continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import string
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -84,8 +85,12 @@ class PatternKB:
 
     @classmethod
     def build(cls, patterns) -> "PatternKB":
-        """Deduplicate equal patterns keeping the first occurrence."""
-        return cls(tuple(dict.fromkeys(patterns)))
+        """Deduplicate equal patterns, equal (tokens, label), keeping the
+        first occurrence."""
+        unique: dict = {}
+        for p in patterns:
+            unique.setdefault((p.tokens, p.label), p)
+        return cls(tuple(unique.values()))
 
     @cached_property
     def postings(self) -> dict[str, tuple[int, ...]]:
@@ -153,7 +158,8 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
         raise UnknownLabelCode(
             f"{where}: label codes must be G, S or E, got {left!r}/{right!r}"
         ) from exc
-    tokens = tuple(t if t == PLACEHOLDER else t.lower() for t in text.split())
+    # a base repeats a small vocabulary: one string per word, not per position
+    tokens = tuple(sys.intern(t if t == PLACEHOLDER else t.lower()) for t in text.split())
     if not tokens:
         raise PatternParseError(f"{where}: empty pattern text")
     for t in tokens:

@@ -94,7 +94,7 @@ class Fragment:
 
     def __post_init__(self) -> None:
         try:
-            if not (-math.inf < self.v_lo < math.inf and -math.inf < self.v_hi < math.inf):
+            if not (math.isfinite(self.v_lo) and math.isfinite(self.v_hi)):
                 raise InvalidArgument(
                     f"fragment interval must be finite, got [{self.v_lo}, {self.v_hi}]"
                 )
@@ -103,6 +103,10 @@ class Fragment:
             for s in (self.s_lo, self.s_hi):
                 if not 0.0 <= s <= 1.0:
                     raise InvalidArgument(f"satisfaction score {s} outside [0, 1]")
+        except OverflowError:  # an int past the float range
+            raise InvalidArgument(
+                "fragment interval must be finite, got a bound past the float range"
+            ) from None
         except TypeError:
             raise InvalidArgument(
                 "fragment interval and scores must be numbers, got "

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -424,3 +428,12 @@ class TestEval:
         )
         assert code == 0
         assert len(stdout.strip().splitlines()) == 4
+
+
+def test_importing_the_cli_loads_no_numpy():
+    """The package is pure Python: start-up pays for no numpy import."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, perfquant.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

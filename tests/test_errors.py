@@ -164,6 +164,17 @@ SITES = {
         lambda: SatisfactionFunction((Fragment(G, -math.inf, math.inf, 0.0, 1.0),), MIN),
         "fragment interval must be finite, got [-inf, inf]",
     ),
+    "Fragment, an int bound past the float range": (
+        lambda: SatisfactionFunction((Fragment(G, 0, 10**400, 0.0, 1.0),), MIN),
+        "fragment interval must be finite, got a bound past the float range",
+    ),
+    "SatisfactionFunction.from_json, an int bound past the float range": (
+        lambda: SatisfactionFunction.from_json(
+            '{"direction": "min", "segments": [{"v_lo": 0, "v_hi": 1%s, "s_lo": 0, "s_hi": 1}]}'
+            % ("0" * 400)
+        ),
+        "fragment interval must be finite, got a bound past the float range",
+    ),
     "Fragment, two text bounds": (
         lambda: Fragment(G, "a", "b", 0.0, 1.0),
         "fragment interval and scores must be numbers, got ('a', 'b', 0.0, 1.0)",

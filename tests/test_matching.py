@@ -212,6 +212,16 @@ class TestSemanticScore:
         p = pattern("in <N>")
         assert semantic_score(mini_store, p, lcs(p, req)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_every_in_vocabulary_position_matched_scores_exactly_one(self, mini_store, bundled_kb):
+        """Both sides average the same vectors, so the cosine is 1.0 with no
+        rounding; a pattern word without a vector need not be matched."""
+        for p in bundled_kb.patterns:
+            req = tokenize(" ".join("5" if t == PLACEHOLDER else t for t in p.tokens))
+            assert semantic_score(mini_store, p, lcs(p, req)) == 1.0, p.text
+        p = Pattern(("respond", "zzqq", "within", PLACEHOLDER), label("ES"))
+        assert "zzqq" not in mini_store.entries
+        assert semantic_score(mini_store, p, lcs(p, tokenize("respond quickly within 5 s"))) == 1.0
+
     def test_close_pattern_beats_unrelated_one(self, mini_store):
         req = tokenize("The system response time for all operations should be under 3 seconds")
         near = pattern("in under <N>")

@@ -25,6 +25,7 @@ from perfquant import (
     cosine,
     lcs,
     select,
+    semantic_score,
     sentence_vector,
     syntactic_score,
 )
@@ -246,8 +247,8 @@ def request_parts():
 
 def scored_patterns(kb, store, req, cfg=MatcherConfig()):
     """Every competing pattern of the base as an unlabelled MatchResult,
-    the pattern vector computed afresh each time, and the matched vector and
-    the function-word rule read from the requirement's side of the LCS."""
+    with the matched vector and the function-word rule read from the
+    requirement's side of the LCS."""
     for index, pattern in enumerate(kb.patterns):
         result = lcs(pattern, req)
         matched = [req.normalized[j] for j in result.matched_positions]
@@ -287,8 +288,15 @@ def reach(pattern, req):
     return sum(t in words or (t == PLACEHOLDER and has_number) for t in pattern.tokens)
 
 
-def upper_bound(pattern, req, cfg=MatcherConfig()):
-    return fuse(reach(pattern, req) / len(pattern), _SEM_CEILING, cfg)
+def key_bound(kb, index, req, cfg=MatcherConfig()):
+    """The bound on a candidate's selection key (fused, syn, -len, -index)."""
+    pattern = kb.patterns[index]
+    syn = reach(pattern, req) / len(pattern)
+    return (fuse(syn, _SEM_CEILING, cfg), syn, -len(pattern), -index)
+
+
+def selection_key(match):
+    return (match.fused, match.syn, -len(match.pattern), -match.pattern_index)
 
 
 def shares_a_word(pattern, req):
@@ -299,7 +307,7 @@ def test_pruned_select_equals_exhaustive_on_a_large_base(
     big_patterns, request_parts, mini_store, monkeypatch
 ):
     """select scores only patterns sharing a word with the part, in
-    descending bound, skips only those that cannot win, and picks what
+    descending key bound, skips only those that cannot win, and picks what
     scoring every pattern picks."""
     kb = PatternKB.build(big_patterns)
     assert len(kb) > 950
@@ -315,11 +323,14 @@ def test_pruned_select_equals_exhaustive_on_a_large_base(
         visited.clear()
         got = select(kb, mini_store, part)
         assert all(shares_a_word(p, part) for p in visited)
-        # descending bound, ties by ascending index
-        order = [(-upper_bound(p, part), kb.patterns.index(p)) for p in visited]
-        assert order == sorted(order)
-        skipped = [p for p in kb.patterns if shares_a_word(p, part) and p not in visited]
-        assert all(upper_bound(p, part) < got.fused for p in skipped)
+        # descending key bound
+        order = [key_bound(kb, kb.patterns.index(p), part) for p in visited]
+        assert order == sorted(order, reverse=True)
+        skipped = [
+            i for i, p in enumerate(kb.patterns) if shares_a_word(p, part) and p not in visited
+        ]
+        if got is not None:
+            assert all(key_bound(kb, i, part) < selection_key(got) for i in skipped)
         assert got == exhaustive_select(kb, mini_store, part), part.raw
         matched += got is not None
     assert matched > len(request_parts) // 2
@@ -327,21 +338,25 @@ def test_pruned_select_equals_exhaustive_on_a_large_base(
 
 def test_every_score_is_within_its_bound(big_patterns, request_parts, mini_store):
     """On the large base, for several weights, no competing pattern's LCS
-    outruns its reach, its cosine the semantic ceiling, or its fused score
-    its bound.  Some cosines do exceed 1.0."""
+    outruns its reach, its cosine the semantic ceiling, or its selection
+    key its key bound.  Matches of every in-vocabulary position reach the
+    ceiling exactly, and contiguous full matches reach their key bound."""
     kb = PatternKB.build(big_patterns)
     configs = [MatcherConfig(w) for w in (0.0, 0.3, 0.7, 1.0)]
-    checked, top_sem = 0, 0.0
+    checked, at_ceiling, at_bound = 0, 0, 0
     for part in request_parts:
         for m in scored_patterns(kb, mini_store, part):
             assert len(m.lcs.matched_positions) <= reach(m.pattern, part)
+            assert m.sem <= _SEM_CEILING == 1.0
             for cfg in configs:
-                fused = fuse(m.syn, m.sem, cfg)
-                assert fused <= upper_bound(m.pattern, part, cfg), (m.pattern, part.raw, cfg)
-            top_sem = max(top_sem, m.sem)
+                key = (fuse(m.syn, m.sem, cfg), *selection_key(m)[1:])
+                bound = key_bound(kb, m.pattern_index, part, cfg)
+                assert key <= bound, (m.pattern, part.raw, cfg)
+                at_bound += key == bound
+            at_ceiling += m.sem == 1.0
             checked += 1
     assert checked > 10_000
-    assert 1.0 < top_sem <= _SEM_CEILING
+    assert at_ceiling > 100 and at_bound > 100
 
 
 BASE_WORDS = ("respond", "within", "under", "less", "than", "at", "most", "the", "shall", "7")
@@ -447,18 +462,18 @@ def test_dropped_bases_leave_no_stale_state(big_patterns, request_parts, mini_st
 
 def test_dropped_bases_free_their_caches(big_patterns, request_parts):
     """Per-base and per-pattern caches go with their objects: once the
-    store holds every pattern vector, building and dropping bases of fresh
-    patterns leaves no memory behind.
+    store holds every sentence vector the parts can ask for, building and
+    dropping bases of fresh patterns leaves no memory behind.
 
     The store is the test's own, and every vector it will hold is in it
     before the measured window, so no earlier test or draw decides what
     the window adds to it."""
     store = default_store()
-    store.pattern_vectors.update(
-        (p.tokens, sentence_vector(store, list(p.tokens))) for p in big_patterns
-    )
     rng = random.Random(5)
     parts = request_parts[::20]
+    for p in big_patterns:
+        for part in parts:
+            semantic_score(store, p, lcs(p, part))
 
     def churn(rounds):
         for _ in range(rounds):

@@ -1,20 +1,25 @@
 """select's ranked stream: the patterns whose every distinct token the
-part holds, found by walking `PatternKB.word_trie`, then the cap, then the
-rest.
+part holds, found by walking `PatternKB.word_trie`, then the cap key, then
+the rest, all by descending key bound.
 
 A pattern with a token the part lacks, such as its rarest word, misses a
-position, so its bound is at most the cap, fuse((longest - 1) / longest,
-_SEM_CEILING).  The stream's head, its first pass before (cap, None),
-holds only the bounds above the cap; the full `_bounds` runs only when the
-visit goes on past the cap.
+position, so its key bound is below the cap key (fuse(near, 1.0), near,
+inf), near = (longest - 1) / longest.  The stream's head, its first pass
+before (cap key, None), holds only the key bounds above it; `_reach`
+counts every candidate only when the visit goes on past the cap key.
 """
+
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_matching_equivalence import (  # noqa: F401  (fixtures)
     big_patterns,
     exhaustive_select,
+    key_bound,
     request_parts,
+    selection_key,
+    shares_a_word,
     small_base_and_part,
 )
 from test_ranking import visit_order
@@ -55,14 +60,18 @@ def trie_listings(kb):
 
 
 def head_and_cap(kb, part, cfg):
-    """The stream's items before (cap, None), and the cap; the stream is
-    not resumed past it, so `_bounds` does not run."""
+    """The stream's items before (cap key, None), and the cap key; the
+    stream is not resumed past it, so `_reach` does not run."""
     head = []
     for bound, index in matching._ranked(kb, part, cfg):
         if index is None:
             return head, bound
         head.append((bound, index))
-    raise AssertionError("the stream holds no (cap, None)")
+    raise AssertionError("the stream holds no (cap key, None)")
+
+
+def candidates(kb, part):
+    return [i for i, p in enumerate(kb.patterns) if shares_a_word(p, part)]
 
 
 UNDER = PatternKB.build([Pattern(("under", PLACEHOLDER), ES)])
@@ -72,15 +81,17 @@ UNDER = PatternKB.build([Pattern(("under", PLACEHOLDER), ES)])
 @given(small_base_and_part(), st.sampled_from(WEIGHTS))
 @example((UNDER, tokenize("under 5")), 0.7)
 @example((UNDER, tokenize("under x")), 0.7)
+@example((UNDER, tokenize("under 5")), 0.0)
 def test_every_bound_above_the_cap_is_in_the_first_pass(case, w):
     kb, part = case
     cfg = MatcherConfig(w)
     head, cap = head_and_cap(kb, part, cfg)
-    bound = matching._bounds(kb, part, cfg)
-    top = fuse(1.0, _SEM_CEILING, cfg)
-    assert head == [(b, i) for i, b in sorted(bound.items()) if b > cap]
-    assert all(b == top for b, _ in head)
-    assert all(b <= cap for i, b in bound.items() if i not in rarest_held(kb, part))
+    near = (kb.longest - 1) / kb.longest
+    assert cap == (fuse(near, _SEM_CEILING, cfg), near, math.inf)
+    bounds = sorted(((key_bound(kb, i, part, cfg), i) for i in candidates(kb, part)), reverse=True)
+    assert head == [(b, i) for b, i in bounds if b > cap]
+    assert all(b[:2] == (fuse(1.0, _SEM_CEILING, cfg), 1.0) for b, _ in head)
+    assert all(b < cap for b, i in bounds if i not in rarest_held(kb, part))
 
 
 @settings(max_examples=300, deadline=None)
@@ -88,14 +99,15 @@ def test_every_bound_above_the_cap_is_in_the_first_pass(case, w):
 @example((UNDER, tokenize("under 5")), 0.7)
 @example((UNDER, tokenize("under 5")), 0.0)
 def test_the_stream_is_every_bound_in_one_ranking(case, w):
-    """Without its one sentinel, the stream is all of `_bounds` by
-    descending bound, then ascending index."""
+    """The stream, its one sentinel included, falls strictly; without the
+    sentinel it is every candidate's key bound."""
     kb, part = case
     cfg = MatcherConfig(w)
     stream = list(matching._ranked(kb, part, cfg))
     assert [i for _, i in stream].count(None) == 1
-    ranking = sorted(matching._bounds(kb, part, cfg).items(), key=lambda item: (-item[1], item[0]))
-    assert [(b, i) for b, i in stream if i is not None] == [(b, i) for i, b in ranking]
+    assert all(a[0] > b[0] for a, b in zip(stream, stream[1:]))
+    bounds = sorted(((key_bound(kb, i, part, cfg), i) for i in candidates(kb, part)), reverse=True)
+    assert [(b, i) for b, i in stream if i is not None] == bounds
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,9 +129,9 @@ def test_each_word_pattern_is_listed_once_where_its_ranked_tokens_end(case):
 
 def test_a_pattern_outside_the_first_pass_can_win(mini_store, monkeypatch):
     """The stream's head holds only "the respond", whose span penalty keeps
-    it at or below the cap; the visit then goes on past the cap to "respond
-    within <N> milliseconds", whose rarest word the part lacks, and it wins
-    on a partial match."""
+    its key below the cap key; the visit then goes on past the cap key to
+    "respond within <N> milliseconds", whose rarest word the part lacks,
+    and it wins on a partial match."""
     kb = PatternKB.build([
         Pattern(("respond", "within", PLACEHOLDER, "milliseconds"), ES),
         Pattern(("the", "respond"), GE),
@@ -129,16 +141,16 @@ def test_a_pattern_outside_the_first_pass_can_win(mini_store, monkeypatch):
     head, cap = head_and_cap(kb, part, cfg)
     assert [i for _, i in head] == [1]
     full_passes = []
-    original = matching._bounds
+    original = matching._reach
 
-    def counting_bounds(*args):
+    def counting_reach(*args):
         full_passes.append(args)
         return original(*args)
 
-    monkeypatch.setattr(matching, "_bounds", counting_bounds)
+    monkeypatch.setattr(matching, "_reach", counting_reach)
     got = select(kb, mini_store, part, cfg)
     assert got.pattern_index == 0 and len(got.lcs.matched_positions) == 3
-    assert got.fused <= cap
+    assert selection_key(got) < cap
     assert got == exhaustive_select(kb, mini_store, part, cfg)
     assert len(full_passes) == 1
     assert visit_order(kb, mini_store, part, cfg) == [1, 0]
@@ -148,18 +160,41 @@ def test_the_full_bounds_run_for_few_parts_of_a_large_base(
     big_patterns, request_parts, mini_store, monkeypatch
 ):
     """On a base of about 1,000 patterns most parts are settled before the
-    cap, and the selections stay those of scoring every pattern."""
+    cap key, and the selections stay those of scoring every pattern."""
     kb = PatternKB.build(big_patterns)
-    original = matching._bounds
+    original = matching._reach
     full_passes = []
 
-    def counting_bounds(base, req, cfg):
+    def counting_reach(base, req):
         full_passes.append(req)
-        return original(base, req, cfg)
+        return original(base, req)
 
-    monkeypatch.setattr(matching, "_bounds", counting_bounds)
+    monkeypatch.setattr(matching, "_reach", counting_reach)
     for part in request_parts:
         assert select(kb, mini_store, part) == exhaustive_select(kb, mini_store, part)
     # a part no pattern matches always goes on past the cap
     assert any(req.raw == "nothing here matches any pattern word" for req in full_passes)
     assert len(full_passes) <= len(request_parts) // 10, (len(full_passes), len(request_parts))
+
+
+def test_a_full_match_ends_the_visit_at_every_weight(
+    big_patterns, request_parts, mini_store, monkeypatch
+):
+    """A contiguous match of every position reaches its key bound, so the
+    visit ends at the first one, even at w = 0, where every fused bound is
+    1.0: on a base of about 1,000 patterns, select runs `lcs` on few
+    candidates per part at every weight."""
+    kb = PatternKB.build(big_patterns)
+    calls = []
+    original = matching.lcs
+
+    def counting_lcs(pattern, req):
+        calls.append(pattern)
+        return original(pattern, req)
+
+    monkeypatch.setattr(matching, "lcs", counting_lcs)
+    for w in WEIGHTS:
+        calls.clear()
+        matched = [select(kb, mini_store, part, MatcherConfig(w)) for part in request_parts]
+        assert sum(m is not None for m in matched) > len(request_parts) // 2
+        assert len(calls) <= 5 * len(request_parts) // 4, (w, len(calls), len(request_parts))

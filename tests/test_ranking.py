@@ -2,14 +2,14 @@
 
 On random small bases, with patterns that repeat a word, with and without
 the placeholder, and parts with and without a number, every candidate's
-counted bound equals the reference `upper_bound`, select visits candidates
-in descending bound with ties by ascending index, and its choice equals
-scoring every pattern.
+counted reach equals the reference `reach`, select visits candidates in
+descending key bound (`key_bound`), and its choice equals scoring every
+pattern.
 """
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_matching_equivalence import exhaustive_select, shares_a_word, upper_bound
+from test_matching_equivalence import exhaustive_select, key_bound, reach, shares_a_word
 
 from perfquant import ClassLabel, MatcherConfig, Pattern, matching, select
 from perfquant.patterns import PLACEHOLDER, PatternKB
@@ -72,13 +72,13 @@ def visit_order(kb, store, part, cfg):
 def test_counted_bounds_equal_the_reference(mini_store, case, w):
     kb, part = case
     cfg = MatcherConfig(w)
-    bound = matching._bounds(kb, part, cfg)
-    assert sorted(bound) == [i for i, p in enumerate(kb.patterns) if shares_a_word(p, part)]
-    for index, value in bound.items():
-        assert value == upper_bound(kb.patterns[index], part, cfg)
+    counted = matching._reach(kb, part)
+    assert sorted(counted) == [i for i, p in enumerate(kb.patterns) if shares_a_word(p, part)]
+    for index, value in counted.items():
+        assert value == reach(kb.patterns[index], part)
     visited = visit_order(kb, mini_store, part, cfg)
-    keys = [(-bound[i], i) for i in visited]
-    assert keys == sorted(keys)
+    keys = [key_bound(kb, i, part, cfg) for i in visited]
+    assert keys == sorted(keys, reverse=True)
 
 
 @settings(max_examples=300, deadline=None)
@@ -96,6 +96,6 @@ def test_select_equals_exhaustive_for_every_weight(mini_store, case):
 def test_a_part_sharing_no_word_matches_nothing(mini_store, found, words):
     kb = PatternKB.build(found)
     part = tokenize(" ".join(words))
-    assert matching._bounds(kb, part, MatcherConfig()) == {}
+    assert matching._reach(kb, part) == {}
     for w in WEIGHTS:
         assert select(kb, mini_store, part, MatcherConfig(w)) is None
