@@ -43,14 +43,14 @@ class VectorStore:
     components with a finite squared norm, made from any 1-D sequence of
     numbers (a numpy array too).  A store compares and hashes by identity.
 
-    `sentence_vectors` memoizes `sentence_vector` by token tuple: it grows
-    by one entry per new token sequence passed in, and `entries` must not
-    change once the store is in use.
+    `pattern_vectors` maps a pattern's token sequence to its sentence
+    vector; the matcher fills it, one entry per pattern it scores, so
+    `entries` must not change once the store is in use.
     """
 
     dimension: int
     entries: dict[str, array]
-    sentence_vectors: dict = field(default_factory=dict, init=False, repr=False)
+    pattern_vectors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         try:
@@ -129,25 +129,21 @@ def sentence_vector(store: VectorStore, tokens: Sequence[str]) -> tuple[float, .
     "number" when present; unknown tokens are skipped; if nothing is known
     the zero vector comes back (a neutral semantic signal).  Token
     sequences holding the same known vectors, in any order and with any
-    unknown tokens, give equal vectors.  The result, a tuple, is memoized
-    in `store.sentence_vectors` and shared by later calls.
+    unknown tokens, give equal vectors.
     """
     if not tokens:
         raise InvalidArgument("sentence_vector needs at least one token")
-    key = tuple(tokens)
-    mean = store.sentence_vectors.get(key)
-    if mean is None:
-        vectors = []
-        for token in key:
-            # `NUMBER_RE` starts with \d, and `str.isdigit` accepts every \d character
-            numeric = token == PLACEHOLDER or (token[:1].isdigit() and NUMBER_RE.match(token))
-            vec = store.entries.get(NUMBER_WORD if numeric else token)
-            if vec is not None:
-                vectors.append(vec)
-        n = len(vectors)
-        components = [math.fsum(c) / n for c in zip(*vectors)] if n else [0.0] * store.dimension
-        mean = store.sentence_vectors[key] = tuple(components)
-    return mean
+    vectors = []
+    for token in tokens:
+        # `NUMBER_RE` starts with \d, and `str.isdigit` accepts every \d character
+        numeric = token == PLACEHOLDER or (token[:1].isdigit() and NUMBER_RE.match(token))
+        vec = store.entries.get(NUMBER_WORD if numeric else token)
+        if vec is not None:
+            vectors.append(vec)
+    if not vectors:
+        return (0.0,) * store.dimension
+    n = len(vectors)
+    return tuple([math.fsum(c) / n for c in zip(*vectors)])
 
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:

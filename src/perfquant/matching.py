@@ -213,17 +213,23 @@ def semantic_score(store: VectorStore, pattern: Pattern, result: LcsResult) -> f
     """Cosine of the averaged word vectors of the pattern and of its
     matched positions.
 
-    Both vectors come from `sentence_vector`, memoized per store.  The
-    matched tokens give the vector the requirement's would: a word pair
-    joins equal strings, and `sentence_vector` maps both sides of the
-    placeholder pair to "number".  A match of every in-vocabulary pattern
-    position averages the same vectors as the pattern, so `cosine` gets
-    equal vectors and the score is exactly 1.0.
+    The pattern's vector is computed once per store and kept in
+    `store.pattern_vectors`; the matched one is computed afresh, so the
+    cache holds one vector per pattern.  The matched tokens give the vector
+    the requirement's would: a word pair joins equal strings, and
+    `sentence_vector` maps both sides of the placeholder pair to "number".
+    A match of every in-vocabulary pattern position averages the same
+    vectors as the pattern, so `cosine` gets equal vectors and the score
+    is exactly 1.0.
     """
     if not result.pattern_positions:
         return 0.0
+    pattern_vector = store.pattern_vectors.get(pattern.tokens)
+    if pattern_vector is None:
+        pattern_vector = sentence_vector(store, pattern.tokens)
+        store.pattern_vectors[pattern.tokens] = pattern_vector
     matched = [pattern.tokens[i] for i in result.pattern_positions]
-    return cosine(sentence_vector(store, pattern.tokens), sentence_vector(store, matched))
+    return cosine(pattern_vector, sentence_vector(store, matched))
 
 
 def fuse(syn: float, sem: float, cfg: MatcherConfig) -> float:

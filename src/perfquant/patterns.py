@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import string
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -158,8 +157,7 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
         raise UnknownLabelCode(
             f"{where}: label codes must be G, S or E, got {left!r}/{right!r}"
         ) from exc
-    # a base repeats a small vocabulary: one string per word, not per position
-    tokens = tuple(sys.intern(t if t == PLACEHOLDER else t.lower()) for t in text.split())
+    tokens = tuple(t if t == PLACEHOLDER else t.lower() for t in text.split())
     if not tokens:
         raise PatternParseError(f"{where}: empty pattern text")
     for t in tokens:

@@ -124,7 +124,7 @@ class TestVectorStore:
         a, b = VectorStore(3, entries), VectorStore(3, dict(entries))
         assert a != b and a == a
         assert {a: "a", b: "b"}[a] == "a"
-        assert a.sentence_vectors == {} and a.sentence_vectors is not b.sentence_vectors
+        assert a.pattern_vectors == {} and a.pattern_vectors is not b.pattern_vectors
 
 
 class TestSentenceVector:
@@ -332,15 +332,31 @@ class TestAgainstNumpyReference:
         assert all(abs(a - b) <= tolerance for a, b in zip(got, want))
 
 
-class TestSentenceVectorMemo:
-    def test_memoized_per_store_by_token_tuple(self, make_store):
+class TestPatternVectors:
+    def test_sentence_vector_keeps_nothing(self, make_store):
         store = make_store({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         first = sentence_vector(store, ["a", "b"])
-        assert sentence_vector(store, ("a", "b")) is first
-        assert list(store.sentence_vectors) == [("a", "b")]
-        assert sentence_vector(store, ["b", "a"]) == first
-        assert len(store.sentence_vectors) == 2
-        assert not make_store({"a": [1.0, 0.0]}).sentence_vectors
+        assert sentence_vector(store, ("b", "a")) == first
+        assert store.pattern_vectors == {}
+
+    def test_one_entry_per_scored_pattern_however_many_partial_matches(self, bundled_kb):
+        """Scoring parts that match many distinct subsequences of the
+        patterns adds one vector per pattern scored, none per subsequence."""
+        store = load_vectors(data_path(VECTORS_FILE))
+        words = sorted({t for p in bundled_kb.patterns for t in p.tokens} - {PLACEHOLDER})
+        rng = random.Random(3)
+        parts = [tokenize(" ".join(rng.sample(words, 3)) + " 5 s") for _ in range(300)]
+        partial = set()
+        for part in parts:
+            match = select(bundled_kb, store, part)
+            if match is not None and len(match.lcs.pattern_positions) < len(match.pattern):
+                partial.add((match.pattern_index, match.lcs.pattern_positions))
+        assert len(partial) > 20
+        patterns = {p.tokens for p in bundled_kb.patterns}
+        assert set(store.pattern_vectors) <= patterns
+        assert all(
+            store.pattern_vectors[t] == sentence_vector(store, t) for t in store.pattern_vectors
+        )
 
     def test_entries_are_kept_as_double_arrays(self, make_store):
         store = make_store({"a": (1, 2), "b": np.array([0.5, 0.25])})

@@ -25,7 +25,6 @@ from perfquant import (
     cosine,
     lcs,
     select,
-    semantic_score,
     sentence_vector,
     syntactic_score,
 )
@@ -247,8 +246,8 @@ def request_parts():
 
 def scored_patterns(kb, store, req, cfg=MatcherConfig()):
     """Every competing pattern of the base as an unlabelled MatchResult,
-    with the matched vector and the function-word rule read from the
-    requirement's side of the LCS."""
+    the pattern vector computed afresh each time, and the matched vector and
+    the function-word rule read from the requirement's side of the LCS."""
     for index, pattern in enumerate(kb.patterns):
         result = lcs(pattern, req)
         matched = [req.normalized[j] for j in result.matched_positions]
@@ -462,18 +461,18 @@ def test_dropped_bases_leave_no_stale_state(big_patterns, request_parts, mini_st
 
 def test_dropped_bases_free_their_caches(big_patterns, request_parts):
     """Per-base and per-pattern caches go with their objects: once the
-    store holds every sentence vector the parts can ask for, building and
-    dropping bases of fresh patterns leaves no memory behind.
+    store holds every pattern vector, building and dropping bases of fresh
+    patterns leaves no memory behind.
 
     The store is the test's own, and every vector it will hold is in it
     before the measured window, so no earlier test or draw decides what
     the window adds to it."""
     store = default_store()
+    store.pattern_vectors.update(
+        (p.tokens, sentence_vector(store, list(p.tokens))) for p in big_patterns
+    )
     rng = random.Random(5)
     parts = request_parts[::20]
-    for p in big_patterns:
-        for part in parts:
-            semantic_score(store, p, lcs(p, part))
 
     def churn(rounds):
         for _ in range(rounds):
