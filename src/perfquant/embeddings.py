@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import DimensionMismatch, InvalidArgument, VectorFormatError
+from .errors import DimensionMismatch, InvalidArgument, VectorFormatError, shown
 from .patterns import PLACEHOLDER
 from .text import NUMBER_RE
 
@@ -68,9 +68,12 @@ class VectorStore:
                     vec = array("d", vec)
             except TypeError:  # a scalar, or a sequence of sequences
                 raise DimensionMismatch(f"vector of {word!r} is not 1-D numbers") from None
+            except OverflowError:  # an int past the float range
+                raise VectorFormatError(f"vector of {word!r} has a non-finite component") from None
             if len(vec) != self.dimension:
                 raise DimensionMismatch(
-                    f"vector of {word!r} has {len(vec)} components, expected {self.dimension}"
+                    f"vector of {word!r} has {len(vec)} components, "
+                    f"expected {shown(self.dimension, str)}"
                 )
             if defect := _vector_defect(vec):
                 raise VectorFormatError(f"vector of {word!r} has {defect}")

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a value."""
+
+
+def shown(value, form=repr) -> str:
+    """`form(value)` for an error message; an int with more digits than
+    `str` converts (`sys.get_int_max_str_digits()`) shows as a note."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
 
 
 class PerfQuantError(Exception):

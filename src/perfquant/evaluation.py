@@ -21,6 +21,7 @@ from .errors import (
     InvalidArgument,
     LengthMismatch,
     NoExtractableSpan,
+    shown,
 )
 from .matching import MatcherConfig, select
 from .patterns import Pattern, PatternKB, extract_pattern
@@ -231,7 +232,7 @@ def bootstrap_eval(
     raises `InvalidArgument`.
     """
     if not isinstance(runs, numbers.Integral) or runs < 1:
-        raise InvalidArgument(f"runs must be an integer >= 1, got {runs!r}")
+        raise InvalidArgument(f"runs must be an integer >= 1, got {shown(runs)}")
     if train_size is not None and not isinstance(train_size, numbers.Integral):
         raise InvalidArgument(f"train_size must be an integer, got {train_size!r}")
     n = len(dataset)
@@ -239,7 +240,7 @@ def bootstrap_eval(
         raise DatasetTooSmall(f"train fraction {train_fraction} is not finite")
     k = train_size if train_size is not None else math.floor(train_fraction * n)
     if k < 1 or k >= n:
-        raise DatasetTooSmall(f"train size {k} of {n} leaves an empty partition")
+        raise DatasetTooSmall(f"train size {shown(k, str)} of {n} leaves an empty partition")
 
     reports = []
     for run_index in range(runs):

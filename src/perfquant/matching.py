@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .embeddings import VectorStore, cosine, sentence_vector
-from .errors import EmptyKB, InvalidArgument
+from .errors import EmptyKB, InvalidArgument, shown
 from .patterns import PLACEHOLDER, STOPWORDS, Pattern, PatternKB
 from .satisfaction import ClassLabel
 from .text import DEFAULT_PREFIX_VERBS, TokenizedRequirement
@@ -61,7 +61,7 @@ class MatcherConfig:
         except TypeError:
             raise InvalidArgument(f"weight w must be a number, got {self.w!r}") from None
         if not inside:
-            raise InvalidArgument(f"weight w must lie in [0, 1], got {self.w}")
+            raise InvalidArgument(f"weight w must lie in [0, 1], got {shown(self.w, str)}")
 
 
 # MatcherConfig is frozen, so calls that pass no config share this one

@@ -158,8 +158,6 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
             f"{where}: label codes must be G, S or E, got {left!r}/{right!r}"
         ) from exc
     tokens = tuple(t if t == PLACEHOLDER else t.lower() for t in text.split())
-    if not tokens:
-        raise PatternParseError(f"{where}: empty pattern text")
     for t in tokens:
         # tokenize strips the punctuation around a word, so such a token never matches
         if t != PLACEHOLDER and t.strip(string.punctuation) not in (t, ""):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import ExpectationOutOfBounds, InvalidArgument, MissingExpectation
+from .errors import ExpectationOutOfBounds, InvalidArgument, MissingExpectation, shown
 
 
 class MetricDirection(Enum):
@@ -102,7 +102,7 @@ class Fragment:
                 raise InvalidArgument(f"fragment interval reversed: [{self.v_lo}, {self.v_hi}]")
             for s in (self.s_lo, self.s_hi):
                 if not 0.0 <= s <= 1.0:
-                    raise InvalidArgument(f"satisfaction score {s} outside [0, 1]")
+                    raise InvalidArgument(f"satisfaction score {shown(s, str)} outside [0, 1]")
         except OverflowError:  # an int past the float range
             raise InvalidArgument(
                 "fragment interval must be finite, got a bound past the float range"
@@ -110,16 +110,10 @@ class Fragment:
         except TypeError:
             raise InvalidArgument(
                 "fragment interval and scores must be numbers, got "
-                f"({self.v_lo!r}, {self.v_hi!r}, {self.s_lo!r}, {self.s_hi!r})"
+                f"({', '.join(map(shown, (self.v_lo, self.v_hi, self.s_lo, self.s_hi)))})"
             ) from None
         if self.kind is FragmentKind.EQUAL and self.s_lo != self.s_hi:
             raise InvalidArgument("indifferent fragment must have a constant score")
-
-    def value_at(self, v: float) -> float:
-        if self.v_hi == self.v_lo:
-            return self.s_lo
-        t = (v - self.v_lo) / (self.v_hi - self.v_lo)
-        return self.s_lo + t * (self.s_hi - self.s_lo)
 
 
 @dataclass(frozen=True)
@@ -180,6 +174,9 @@ class SatisfactionFunction:
         scores, so a sloped fragment clamped flat returns as Equal."""
         try:
             payload = json.loads(text)
+        except ValueError as exc:  # not JSON, or an int of more digits than `int` reads
+            raise InvalidArgument(f"malformed satisfaction function JSON: {exc!r}") from None
+        try:
             direction = MetricDirection.from_code(payload["direction"])
             rows = [(s["v_lo"], s["v_hi"], s["s_lo"], s["s_hi"]) for s in payload["segments"]]
             kinds = [
@@ -188,7 +185,7 @@ class SatisfactionFunction:
                 else FragmentKind.SMALLER
                 for _, _, s_lo, s_hi in rows
             ]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidArgument(f"malformed satisfaction function JSON: {exc!r}") from None
         return cls(tuple(Fragment(k, *row) for k, row in zip(kinds, rows)), direction)
 
@@ -285,12 +282,18 @@ def check_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
     try:
         finite = math.isfinite(lo) and math.isfinite(hi)
     except TypeError:
-        raise InvalidArgument(f"bounds must be numbers, got ({lo!r}, {hi!r})") from None
+        raise InvalidArgument(f"bounds must be numbers, got ({shown(lo)}, {shown(hi)})") from None
+    except OverflowError:  # an int past the float range
+        raise InvalidArgument("bounds must be finite, got a bound past the float range") from None
     if not finite:
         raise InvalidArgument(f"bounds must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise InvalidArgument(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
-    if not math.isfinite(hi - lo):
+    try:
+        finite = math.isfinite(hi - lo)
+    except OverflowError:  # two int bounds farther apart than the float range
+        finite = False
+    if not finite:
         raise InvalidArgument(f"bounds width hi - lo must be finite, got ({lo}, {hi})")
     return lo, hi
 
@@ -351,7 +354,9 @@ def combine(
         except TypeError:
             raise InvalidArgument(f"expectation point must be a number, got {v!r}") from None
         if not inside:
-            raise ExpectationOutOfBounds(f"expectation {v} outside bounds ({lo}, {hi})")
+            raise ExpectationOutOfBounds(
+                f"expectation {shown(v, str)} outside bounds ({lo}, {hi})"
+            )
 
     unique = sorted(dict.fromkeys(parts), key=lambda p: p[1])
     edges = [lo, *[v for _, v in unique], hi]
@@ -366,9 +371,9 @@ def evaluate(fn: SatisfactionFunction, v: float) -> float:
     """Score a measured value; clamps outside the bounds, right segment wins at knots.
 
     The segment is the first whose v_hi exceeds v, found by bisection over
-    the knots; one of zero width is never it.  Its score is computed as
-    `Fragment.value_at` computes it, so the bits are the same.  NaN and a
-    value that does not compare with the bounds raise `InvalidArgument`.
+    the knots; one of zero width is never it.  Its score is s_lo + t *
+    (s_hi - s_lo) with t = (v - v_lo) / (v_hi - v_lo), in that order.  NaN
+    and a value that does not compare with the bounds raise `InvalidArgument`.
     """
     lo, hi, s_first, s_last, knots, rows = fn._table
     try:

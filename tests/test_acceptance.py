@@ -51,6 +51,15 @@ def pattern(text, codes="ES"):
     return Pattern(tokens, label(codes))
 
 
+def value_at(seg, v):
+    """The affine score of segment `seg` at v: s_lo when it has zero width,
+    else s_lo + t * (s_hi - s_lo) with t = (v - v_lo) / (v_hi - v_lo)."""
+    if seg.v_hi == seg.v_lo:
+        return seg.s_lo
+    t = (v - seg.v_lo) / (seg.v_hi - seg.v_lo)
+    return seg.s_lo + t * (seg.s_hi - seg.s_lo)
+
+
 def criterion(number, description):
     def decorate(fn):
         @functools.wraps(fn)
@@ -278,7 +287,7 @@ def test_property_suite(mini_store, bundled_kb):
                 kinds = (left, right)
                 for kind, seg in zip(kinds, fn.segments):
                     values = [
-                        seg.value_at(seg.v_lo + (seg.v_hi - seg.v_lo) * i / 99)
+                        value_at(seg, seg.v_lo + (seg.v_hi - seg.v_lo) * i / 99)
                         for i in range(100)
                     ]
                     assert all(0.0 <= v <= 1.0 for v in values)

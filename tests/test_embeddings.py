@@ -94,6 +94,10 @@ class TestVectorStore:
         with pytest.raises(VectorFormatError, match="within"):
             VectorStore(3, entries)
 
+    def test_int_component_past_the_float_range(self):
+        with pytest.raises(VectorFormatError, match="^vector of 'a' has a non-finite component$"):
+            VectorStore(3, {"a": [10**400, 0, 0]})
+
     def test_overflowing_squared_norm(self):
         entries = {"respond": np.ones(3), "within": np.full(3, 1e200)}
         with pytest.raises(VectorFormatError, match="within"):
@@ -118,6 +122,10 @@ class TestVectorStore:
     def test_wrong_shape(self, vec):
         with pytest.raises(DimensionMismatch, match="respond"):
             VectorStore(3, {"within": np.ones(3), "respond": vec})
+
+    def test_dimension_too_long_to_print(self):
+        with pytest.raises(DimensionMismatch, match="expected <int too long to print>$"):
+            VectorStore(10**5000, {"a": [1.0]})
 
     def test_compares_and_hashes_by_identity(self):
         entries = {"respond": np.ones(3)}

@@ -214,6 +214,54 @@ SITES = {
         ),
         "fragment interval must be finite, got [nan, 1]",
     ),
+    # an int past the float range, or with more digits than str() prints (4,300)
+    "check_bounds, an int bound past the float range": (
+        lambda: check_bounds((0, 10**400)),
+        "bounds must be finite, got a bound past the float range",
+    ),
+    "QuantificationRequest, an int bound past the float range": (
+        lambda: QuantificationRequest("x in 5 s", bounds=(0, 10**400)),
+        "bounds must be finite, got a bound past the float range",
+    ),
+    "combine, an int bound past the float range": (
+        lambda: combine([(ES, 1.0)], (0, 10**400), MIN),
+        "bounds must be finite, got a bound past the float range",
+    ),
+    "check_bounds, an int width past the float range": (
+        lambda: check_bounds((-(10**308), 10**308)),
+        f"bounds width hi - lo must be finite, got ({-(10**308)}, {10**308})",
+    ),
+    "check_bounds, text and an int too long to print": (
+        lambda: check_bounds(("a", 10**5000)),
+        "bounds must be numbers, got ('a', <int too long to print>)",
+    ),
+    "Fragment, a score too long to print": (
+        lambda: Fragment(G, 0.0, 1.0, 0.0, 10**5000),
+        "satisfaction score <int too long to print> outside [0, 1]",
+    ),
+    "Fragment, text and a score too long to print": (
+        lambda: Fragment(G, "a", 1.0, 0.0, 10**5000),
+        "fragment interval and scores must be numbers, "
+        "got ('a', 1.0, 0.0, <int too long to print>)",
+    ),
+    "MatcherConfig, a weight too long to print": (
+        lambda: MatcherConfig(w=10**5000),
+        "weight w must lie in [0, 1], got <int too long to print>",
+    ),
+    "SatisfactionFunction.from_json, an int too long to read": (
+        lambda: SatisfactionFunction.from_json(
+            '{"direction": "min", "segments": [{"v_lo": 0, "v_hi": 1%s, "s_lo": 0, "s_hi": 1}]}'
+            % ("0" * 5000)
+        ),
+        "malformed satisfaction function JSON: ValueError('Exceeds the limit (4300 digits) "
+        "for integer string conversion: value has 5001 digits; "
+        "use sys.set_int_max_str_digits() to increase the limit')",
+    ),
+    # the constructors' own message, not the malformed-JSON one
+    "SatisfactionFunction.from_json, an unknown direction": (
+        lambda: SatisfactionFunction.from_json('{"direction": "up", "segments": []}'),
+        "direction must be min or max, got 'up'",
+    ),
     "SatisfactionFunction.from_json, a reversed segment": (
         lambda: SatisfactionFunction.from_json(
             '{"direction": "max", "segments": [{"v_lo": 1, "v_hi": 0, "s_lo": 0, "s_hi": 1}]}'

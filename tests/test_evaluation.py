@@ -181,6 +181,12 @@ class TestBootstrap:
         with pytest.raises(DatasetTooSmall):
             bootstrap_eval(rows, runs=1, train_fraction=0.1, seed=1, store=mini_store)
 
+    def test_train_size_too_long_to_print(self, mini_store):
+        rows = load_dataset(data_path(MINI_CORPUS_FILE))
+        with pytest.raises(DatasetTooSmall, match="^train size <int too long to print> of "):
+            bootstrap_eval(rows, runs=1, train_fraction=0.5, seed=1, store=mini_store,
+                           train_size=10**5000)
+
     @pytest.mark.parametrize("fraction", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_train_fraction(self, mini_store, fraction):
         rows = load_dataset(data_path(MINI_CORPUS_FILE))
@@ -193,6 +199,7 @@ class TestBootstrap:
             ({"runs": 0}, "runs must be an integer >= 1, got 0"),
             ({"runs": 2.0}, "runs must be an integer >= 1, got 2.0"),
             ({"runs": 1, "train_size": 2.5}, "train_size must be an integer, got 2.5"),
+            ({"runs": -(10**5000)}, "runs must be an integer >= 1, got <int too long to print>"),
         ],
     )
     def test_bad_runs_and_train_size_are_typed(self, mini_store, kwargs, message):

@@ -101,6 +101,12 @@ class TestLoadSave:
         with pytest.raises(UnknownLabelCode, match=":2"):
             load_patterns(f)
 
+    def test_empty_pattern_text_reports_line(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_text("more than <N>\tG\tE\n\tE\tS\n", encoding="utf-8")
+        with pytest.raises(PatternParseError, match=":2: pattern must have at least one token$"):
+            load_patterns(f)
+
     def test_wrong_field_count_reports_line(self, tmp_path):
         f = tmp_path / "p.tsv"
         f.write_text("just text without tabs\n", encoding="utf-8")

@@ -33,6 +33,16 @@ def label(codes: str) -> ClassLabel:
     return ClassLabel.from_codes(codes[0], codes[1])
 
 
+def value_at(seg, v):
+    """The score of segment `seg` at v, computed apart from `evaluate`'s
+    table: a zero-width segment scores s_lo; otherwise t = (v - v_lo) /
+    (v_hi - v_lo), then s_lo + t * (s_hi - s_lo)."""
+    if seg.v_hi == seg.v_lo:
+        return seg.s_lo
+    t = (v - seg.v_lo) / (seg.v_hi - seg.v_lo)
+    return seg.s_lo + t * (seg.s_hi - seg.s_lo)
+
+
 class TestSetScores:
     def test_smaller_equal_smaller_series(self):
         # one monotonic series with an interleaved flat fragment
@@ -184,6 +194,11 @@ class TestCompileSingle:
         with pytest.raises(ExpectationOutOfBounds):
             compile_single(label("ES"), 12, (0, 10), MIN)
 
+    def test_expectation_too_long_to_print_is_out_of_bounds(self):
+        # str() of an int past 4,300 digits raises ValueError; the message notes it instead
+        with pytest.raises(ExpectationOutOfBounds, match="^expectation <int too long to print> "):
+            compile_single(label("ES"), 10**5000, (0, 10), MIN)
+
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             compile_single(label("SS"), None, (10, 10), MIN)
@@ -287,6 +302,10 @@ class TestCombine:
     def test_out_of_bounds_part(self):
         with pytest.raises(ExpectationOutOfBounds):
             combine([(label("ES"), 2), (label("ES"), 50)], (0, 10), MIN)
+
+    def test_out_of_bounds_part_too_long_to_print(self):
+        with pytest.raises(ExpectationOutOfBounds, match="^expectation <int too long to print> "):
+            combine([(label("ES"), 10**5000)], (0, 10), MIN)
 
     def test_part_count_limits(self):
         with pytest.raises(ValueError):
@@ -409,7 +428,7 @@ class TestEvaluate:
             kinds = [lab.left, lab.right]
             for kind, seg in zip(kinds, fn.segments):
                 values = [
-                    seg.value_at(seg.v_lo + (seg.v_hi - seg.v_lo) * i / 99)
+                    value_at(seg, seg.v_lo + (seg.v_hi - seg.v_lo) * i / 99)
                     for i in range(100)
                 ]
                 assert all(0.0 <= v <= 1.0 for v in values)
@@ -440,7 +459,7 @@ def former_evaluate(fn, v):
         return fn.segments[-1].s_hi
     for seg in fn.segments:
         if v < seg.v_hi:
-            return seg.value_at(v)
+            return value_at(seg, v)
     raise InvalidArgument(f"cannot score {v!r}: not a number")
 
 
@@ -583,7 +602,7 @@ class TestEvaluateAgainstTheScan:
         )
         assert evaluate(fn, 5) == 1.0
         below = math.nextafter(5, 0)
-        assert evaluate(fn, below) == fn.segments[0].value_at(below) < 0.5
+        assert evaluate(fn, below) == value_at(fn.segments[0], below) < 0.5
 
     @pytest.mark.parametrize("v", [math.nan, None, "3", [1.0]])
     def test_not_a_number_raises(self, v):
