@@ -213,6 +213,10 @@ def sample_split(
     return train_idx, test_idx
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def bootstrap_eval(
     dataset: list[LabeledRequirement],
     runs: int,
@@ -228,16 +232,28 @@ def bootstrap_eval(
     Each run draws floor(train_fraction * n) rows (or exactly train_size
     when given) without replacement under a per-run derived seed, builds a
     pattern base from them, and scores classification on the remainder.
-    `runs` below 1, or a `runs` or `train_size` that is not an integer,
-    raises `InvalidArgument`.
+    `runs` below 1, a `runs`, `seed` or `train_size` that is not an
+    integer (a `bool` is not one), or, when `train_size` is None, a
+    `train_fraction` that is not a real number raises `InvalidArgument`.
     """
-    if not isinstance(runs, numbers.Integral) or runs < 1:
+    if not _is_integer(runs) or runs < 1:
         raise InvalidArgument(f"runs must be an integer >= 1, got {shown(runs)}")
-    if train_size is not None and not isinstance(train_size, numbers.Integral):
+    if not _is_integer(seed):
+        raise InvalidArgument(f"seed must be an integer, got {seed!r}")
+    if train_size is not None and not _is_integer(train_size):
         raise InvalidArgument(f"train_size must be an integer, got {train_size!r}")
     n = len(dataset)
-    if train_size is None and not math.isfinite(train_fraction):
-        raise DatasetTooSmall(f"train fraction {train_fraction} is not finite")
+    if train_size is None:
+        try:
+            finite = math.isfinite(train_fraction)
+        except OverflowError:  # an int past the float range
+            finite = False
+        except TypeError:
+            raise InvalidArgument(
+                f"train_fraction must be a real number, got {train_fraction!r}"
+            ) from None
+        if not finite:
+            raise DatasetTooSmall(f"train fraction {shown(train_fraction, str)} is not finite")
     k = train_size if train_size is not None else math.floor(train_fraction * n)
     if k < 1 or k >= n:
         raise DatasetTooSmall(f"train size {shown(k, str)} of {n} leaves an empty partition")

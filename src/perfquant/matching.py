@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .embeddings import VectorStore, cosine, sentence_vector
-from .errors import EmptyKB, InvalidArgument, shown
+from .errors import InvalidArgument, shown
 from .patterns import PLACEHOLDER, STOPWORDS, Pattern, PatternKB
 from .satisfaction import ClassLabel
 from .text import DEFAULT_PREFIX_VERBS, TokenizedRequirement
@@ -362,8 +362,6 @@ def select(
     every position reaches its key bound, so the visit ends at the first
     such match of the top tier.
     """
-    if not kb.patterns:
-        raise EmptyKB("pattern knowledge base is empty")
     cfg = cfg or _DEFAULT_CONFIG
 
     best = None

@@ -7,7 +7,7 @@ import string
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InvalidArgument, NoExtractableSpan, PatternParseError, UnknownLabelCode
+from .errors import EmptyKB, InvalidArgument, NoExtractableSpan, PatternParseError, UnknownLabelCode
 from .satisfaction import ClassLabel
 from .text import TokenizedRequirement
 
@@ -78,14 +78,17 @@ class Pattern:
 
 @dataclass(frozen=True)
 class PatternKB:
-    """Immutable pattern list."""
+    """Immutable pattern list; a base holds at least one pattern."""
 
     patterns: tuple[Pattern, ...]
 
+    def __post_init__(self) -> None:
+        if not self.patterns:
+            raise EmptyKB("pattern knowledge base is empty")
+
     @classmethod
     def build(cls, patterns) -> "PatternKB":
-        """Deduplicate equal patterns, equal (tokens, label), keeping the
-        first occurrence."""
+        """Deduplicate on (tokens, label), keeping the first occurrence."""
         unique: dict = {}
         for p in patterns:
             unique.setdefault((p.tokens, p.label), p)
@@ -138,10 +141,7 @@ class PatternKB:
 
     @cached_property
     def longest(self) -> int:
-        return max((len(p.tokens) for p in self.patterns), default=0)
-
-    def __len__(self) -> int:
-        return len(self.patterns)
+        return max(len(p.tokens) for p in self.patterns)
 
 
 def _parse_pattern_line(line: str, where: str) -> Pattern:

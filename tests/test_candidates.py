@@ -62,7 +62,7 @@ def test_bundled_base_on_the_bundled_corpora(monkeypatch, bundled_kb, store):
 
 def test_large_base(monkeypatch, big_patterns, request_parts, store):
     kb = PatternKB.build(big_patterns)
-    assert len(kb) == 988
+    assert len(kb.patterns) == 988
     lengths = lcs_lengths(monkeypatch, kb, store, request_parts)
     assert len(lengths) > len(request_parts)
     assert min(lengths) >= 1

@@ -38,13 +38,16 @@ class TestExtract:
         assert out.exists()
         assert len(out.read_text().strip().splitlines()) >= 15
 
-    def test_header_only_csv_gives_empty_file(self, capsys, tmp_path):
+    def test_header_only_csv_exits_2_and_writes_no_file(self, capsys, tmp_path):
+        # no row yields a pattern, and a pattern base is never empty
         src = tmp_path / "empty.csv"
         src.write_text("id,text,left,right,v_beta,direction\n", encoding="utf-8")
         out = tmp_path / "patterns.tsv"
-        code, _, _ = run(capsys, ["extract", "--labeled", str(src), "--out", str(out)])
-        assert code == 0
-        assert out.read_text() == ""
+        code, stdout, stderr = run(capsys, ["extract", "--labeled", str(src), "--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        assert "empty" in stderr
+        assert not out.exists()
 
     def test_missing_input_exits_2_with_path(self, capsys, tmp_path):
         missing = tmp_path / "nope.csv"
@@ -171,6 +174,21 @@ class TestClassify:
         )
         assert code == 2
         assert "missing.tsv" in stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "quantify"])
+def test_comment_only_pattern_file_exits_2_before_any_output(capsys, tmp_path, command):
+    patterns = tmp_path / "kb.tsv"
+    patterns.write_text("# no pattern yet\n\n", encoding="utf-8")
+    inp = tmp_path / "reqs.txt"
+    inp.write_text("The system should respond in 2 seconds\n", encoding="utf-8")
+    code, stdout, stderr = run(
+        capsys,
+        [command, "--patterns", str(patterns), "--vectors", VECTORS, "--input", str(inp)],
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: pattern knowledge base is empty\n"
 
 
 class TestQuantify:
@@ -428,6 +446,20 @@ class TestEval:
         )
         assert code == 0
         assert len(stdout.strip().splitlines()) == 4
+
+    def test_comment_only_base_patterns_exit_2(self, capsys, tmp_path):
+        base = tmp_path / "base.tsv"
+        base.write_text("# no pattern yet\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "eval", "--dataset", CORPUS, "--vectors", VECTORS,
+                "--base-patterns", str(base), "--runs", "2",
+            ],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "empty" in stderr
 
 
 def test_importing_the_cli_loads_no_numpy():

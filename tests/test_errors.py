@@ -10,12 +10,14 @@ from perfquant import (
     ClassLabel,
     Fragment,
     FragmentKind,
+    LabeledRequirement,
     MatcherConfig,
     MetricDirection,
     Pattern,
     QuantificationRequest,
     SatisfactionFunction,
     VectorStore,
+    bootstrap_eval,
     combine,
     compile_single,
     evaluate,
@@ -33,6 +35,13 @@ G, E = FragmentKind.GREATER, FragmentKind.EQUAL
 
 def _segment(v_lo, v_hi):
     return Fragment(E, v_lo, v_hi, 1.0, 1.0)
+
+
+def _bootstrap(**kwargs):
+    # three rows, so that a train fraction of 2/3 leaves both partitions non-empty
+    rows = [LabeledRequirement(f"r{i}", "respond in 5 seconds", ES) for i in range(3)]
+    args = {"runs": 1, "train_fraction": 2 / 3, "seed": 1, **kwargs}
+    return bootstrap_eval(rows, store=VectorStore(1, {}), **args)
 
 
 SITES = {
@@ -268,6 +277,29 @@ SITES = {
         ),
         "fragment interval reversed: [1, 0]",
     ),
+    "bootstrap_eval, a text train fraction": (
+        lambda: _bootstrap(train_fraction="a"),
+        "train_fraction must be a real number, got 'a'",
+    ),
+    "bootstrap_eval, no train fraction": (
+        lambda: _bootstrap(train_fraction=None),
+        "train_fraction must be a real number, got None",
+    ),
+    "bootstrap_eval, a text seed": (
+        lambda: _bootstrap(seed="x"),
+        "seed must be an integer, got 'x'",
+    ),
+    "bootstrap_eval, no seed": (lambda: _bootstrap(seed=None), "seed must be an integer, got None"),
+    # a bool is an Integral, but True is no count and no seed
+    "bootstrap_eval, a bool run count": (
+        lambda: _bootstrap(runs=True),
+        "runs must be an integer >= 1, got True",
+    ),
+    "bootstrap_eval, a bool train size": (
+        lambda: _bootstrap(train_size=True),
+        "train_size must be an integer, got True",
+    ),
+    "bootstrap_eval, a bool seed": (lambda: _bootstrap(seed=True), "seed must be an integer, got True"),
 }
 
 

@@ -193,6 +193,11 @@ class TestBootstrap:
         with pytest.raises(DatasetTooSmall, match=f"train fraction {fraction} is not finite"):
             bootstrap_eval(rows, runs=1, train_fraction=fraction, seed=1, store=mini_store)
 
+    def test_int_train_fraction_past_the_float_range(self, mini_store):
+        rows = load_dataset(data_path(MINI_CORPUS_FILE))
+        with pytest.raises(DatasetTooSmall, match=f"^train fraction {10**400} is not finite$"):
+            bootstrap_eval(rows, runs=1, train_fraction=10**400, seed=1, store=mini_store)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

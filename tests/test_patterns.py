@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from perfquant import ALL_LABELS, ClassLabel, Pattern, extract_pattern, load_patterns
 from perfquant.data import path as data_path
-from perfquant.errors import NoExtractableSpan, PatternParseError, UnknownLabelCode
+from perfquant.errors import EmptyKB, NoExtractableSpan, PatternParseError, UnknownLabelCode
 from perfquant.matching import NEGATIONS
 from perfquant.patterns import PLACEHOLDER, PatternKB, format_patterns
 from perfquant.text import tokenize
@@ -32,7 +32,7 @@ class TestPatternType:
         b = Pattern(("more", "than", "<N>"), label("GE"), source_id="b")
         c = Pattern(("more", "than", "<N>"), label("SE"))
         kb = PatternKB.build([a, b, c])
-        assert len(kb) == 2
+        assert len(kb.patterns) == 2
         assert kb.patterns[0].source_id == "a"
 
     def test_equality_and_hash_ignore_the_source(self):
@@ -53,6 +53,10 @@ PATTERNS = st.builds(
 
 @given(st.lists(PATTERNS, max_size=12))
 def test_build_keeps_the_first_of_each_tokens_and_label(patterns):
+    if not patterns:
+        with pytest.raises(EmptyKB):
+            PatternKB.build(patterns)
+        return
     unique = {}
     for p in patterns:
         unique.setdefault((p.tokens, p.label), p)
@@ -93,7 +97,8 @@ class TestLoadSave:
     def test_empty_file_is_empty_kb(self, tmp_path):
         f = tmp_path / "p.tsv"
         f.write_text("", encoding="utf-8")
-        assert len(load_patterns(f)) == 0
+        with pytest.raises(EmptyKB):
+            load_patterns(f)
 
     def test_unknown_label_code_reports_line(self, tmp_path):
         f = tmp_path / "p.tsv"
@@ -127,7 +132,7 @@ class TestLoadSave:
         assert first.read_bytes() == second.read_bytes()
 
     def test_bundled_patterns_parse_with_valid_labels(self, bundled_kb):
-        assert len(bundled_kb) > 0
+        assert len(bundled_kb.patterns) > 0
         for p in bundled_kb.patterns:
             assert p.label.codes[0] in "GSE" and p.label.codes[1] in "GSE"
             assert sum(1 for t in p.tokens if t == PLACEHOLDER) <= 1
