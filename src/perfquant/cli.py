@@ -8,7 +8,7 @@ import os
 import sys
 import tempfile
 
-from .errors import InvalidArgument, PerfQuantError
+from .errors import EmptyKB, InvalidArgument, PerfQuantError
 from .evaluation import (
     BootstrapResult,
     bootstrap_eval,
@@ -21,7 +21,7 @@ from .evaluation import (
 from .matching import MatcherConfig
 from .patterns import PatternKB, format_patterns, load_patterns
 from .pipeline import QuantificationRequest, classify, quantify
-from .satisfaction import MetricDirection
+from .satisfaction import MetricDirection, check_bounds
 from .embeddings import load_vectors
 
 
@@ -50,7 +50,11 @@ def _format_beta(v_beta: float | None) -> str:
 def run_extract(args: argparse.Namespace) -> int:
     rows = load_dataset(args.labeled)
     extracted = extract_patterns(rows)
-    _write_atomic(args.out, format_patterns(PatternKB.build(extracted)))
+    try:
+        kb = PatternKB.build(extracted)
+    except EmptyKB as exc:
+        raise EmptyKB(f"{args.labeled}: none of {len(rows)} rows yields a pattern: {exc}") from None
+    _write_atomic(args.out, format_patterns(kb))
     failed = len(rows) - len(extracted)
     print(f"extracted {len(extracted)} patterns ({failed} failed) from {len(rows)} rows")
     return 0
@@ -87,16 +91,16 @@ def _parse_bounds(raw: str) -> tuple[float, float]:
         lo, hi = map(float, raw.split(","))
     except ValueError as exc:
         raise InvalidArgument(f"--bounds expects two numbers 'lo,hi', got {raw!r}") from exc
-    return lo, hi
+    return check_bounds((lo, hi))
 
 
 def run_quantify(args: argparse.Namespace) -> int:
     if args.samples < 0:
         raise InvalidArgument(f"--samples must be >= 0, got {args.samples}")
+    bounds = _parse_bounds(args.bounds) if args.bounds else None
     kb = load_patterns(args.patterns)
     store = load_vectors(args.vectors)
     cfg = MatcherConfig(w=args.w)
-    bounds = _parse_bounds(args.bounds) if args.bounds else None
     direction = MetricDirection(args.direction) if args.direction else None
     for line_no, line in _read_lines(args.input):
         request = QuantificationRequest(text=line, bounds=bounds, direction=direction)
@@ -112,9 +116,11 @@ def run_quantify(args: argparse.Namespace) -> int:
         print(result.function.to_json())
         if args.samples > 0:
             lo, hi = result.function.bounds
-            for k in range(args.samples + 1):
-                v = lo + (hi - lo) * k / args.samples
+            for k in range(args.samples):
+                # k / K first, as (hi - lo) * k can overflow; the sum can round past hi
+                v = min(lo + (hi - lo) * (k / args.samples), hi)
                 print(f"{v},{result.function(v)}")
+            print(f"{hi},{result.function(hi)}")
     return 0
 
 

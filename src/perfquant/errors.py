@@ -31,7 +31,7 @@ class EmptyInput(PerfQuantError):
 
 
 class PatternParseError(PerfQuantError):
-    """A pattern or dataset file could not be parsed."""
+    """A pattern file could not be parsed."""
 
 
 class UnknownLabelCode(PatternParseError):

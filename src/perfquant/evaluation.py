@@ -49,7 +49,7 @@ class LabeledRequirement:
     def pattern(self) -> Pattern | None:
         """None where the extraction heuristic finds no span."""
         try:
-            return extract_pattern(self.tokens, self.gold, source_id=self.id)
+            return extract_pattern(self.tokens, self.gold)
         except (NoExtractableSpan, EmptyInput):
             return None
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EmptyKB, InvalidArgument, NoExtractableSpan, PatternParseError, UnknownLabelCode
@@ -41,8 +41,6 @@ class Pattern:
 
     tokens: tuple[str, ...]
     label: ClassLabel
-    # provenance only: equality and hashing leave it out
-    source_id: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.tokens, tuple):
@@ -177,7 +175,10 @@ def load_patterns(path: str | os.PathLike) -> PatternKB:
             if not entry.strip() or entry.lstrip().startswith("#"):
                 continue
             patterns.append(_parse_pattern_line(entry, f"{path}:{lineno}"))
-    return PatternKB.build(patterns)
+    try:
+        return PatternKB.build(patterns)
+    except EmptyKB as exc:
+        raise EmptyKB(f"{path}: {exc}") from None
 
 
 def format_patterns(kb: PatternKB) -> str:
@@ -185,9 +186,7 @@ def format_patterns(kb: PatternKB) -> str:
     return "".join("\t".join((p.text, *p.label.codes)) + "\n" for p in kb.patterns)
 
 
-def extract_pattern(
-    req: TokenizedRequirement, label: ClassLabel, source_id: str | None = None
-) -> Pattern:
+def extract_pattern(req: TokenizedRequirement, label: ClassLabel) -> Pattern:
     """Heuristic pattern extraction from a labeled requirement.
 
     For the earliest numeric token preceded by a contiguous run of
@@ -202,7 +201,7 @@ def extract_pattern(
         while start - 1 >= 0 and words[start - 1] in DEFAULT_COMPLEMENTS:
             start -= 1
         if start < number:
-            return Pattern((*words[start:number], PLACEHOLDER), label, source_id)
+            return Pattern((*words[start:number], PLACEHOLDER), label)
 
     anchors = [i for i, word in enumerate(words) if word in EXTRACT_VERBS]
     if not anchors:
@@ -213,4 +212,4 @@ def extract_pattern(
     if end <= start:
         raise NoExtractableSpan(f"no span after anchor in {req.raw!r}")
     span = [words[i] for i in range(start, end + 1) if i not in numbers]
-    return Pattern(tuple(span), label, source_id)
+    return Pattern(tuple(span), label)

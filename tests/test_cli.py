@@ -15,6 +15,7 @@ from perfquant.data import (
     path as data_path,
 )
 from perfquant.errors import PerfQuantError
+from perfquant.satisfaction import SatisfactionFunction
 
 CORPUS = str(data_path(MINI_CORPUS_FILE))
 HOLDOUT = str(data_path(HOLDOUT_FILE))
@@ -46,7 +47,22 @@ class TestExtract:
         code, stdout, stderr = run(capsys, ["extract", "--labeled", str(src), "--out", str(out)])
         assert code == 2
         assert stdout == ""
-        assert "empty" in stderr
+        assert stderr == (
+            f"error: {src}: none of 0 rows yields a pattern: pattern knowledge base is empty\n"
+        )
+        assert not out.exists()
+
+    def test_rows_without_a_pattern_exit_2_naming_the_file(self, capsys, tmp_path):
+        src = tmp_path / "spanless.csv"
+        src.write_text(
+            "id,text,left,right,v_beta,direction\nr1,it shall be,S,S,,\nr2,fast and cheap,S,S,,\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "patterns.tsv"
+        code, stdout, stderr = run(capsys, ["extract", "--labeled", str(src), "--out", str(out)])
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {src}: none of 2 rows yields a pattern")
         assert not out.exists()
 
     def test_missing_input_exits_2_with_path(self, capsys, tmp_path):
@@ -155,6 +171,15 @@ class TestClassify:
         rows = [line.split("\t") for line in stdout.strip().splitlines()[1:]]
         assert [row[:5] for row in rows] == [["1", "1", "E", "S", "inf"], ["2", "1", "E", "S", "-inf"]]
 
+    def test_match_without_a_number_prints_na_beta(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system shall be fast\n", encoding="utf-8")
+        code, stdout, _ = run(
+            capsys, ["classify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+        )
+        assert code == 0
+        assert stdout.splitlines()[1] == "1\t1\tS\tS\tNA\t1.0000\tbe fast"
+
     def test_empty_input_header_only(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"
         inp.write_text("", encoding="utf-8")
@@ -188,7 +213,7 @@ def test_comment_only_pattern_file_exits_2_before_any_output(capsys, tmp_path, c
     )
     assert code == 2
     assert stdout == ""
-    assert stderr == "error: pattern knowledge base is empty\n"
+    assert stderr == f"error: {patterns}: pattern knowledge base is empty\n"
 
 
 class TestQuantify:
@@ -239,6 +264,61 @@ class TestQuantify:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("error: ") and "--samples" in stderr
+
+    @pytest.mark.parametrize(
+        "bounds, samples, points",
+        [
+            # lo + (hi - lo) * k / K rounds the last point to 1.0000000000000002
+            ("0.2,1", "3", [0.2, 0.4666666666666667, 0.7333333333333334, 1.0]),
+            # (hi - lo) * k overflows to inf at k = 2
+            ("0,1e308", "2", [0.0, 5e307, 1e308]),
+        ],
+    )
+    def test_sample_points_lie_within_the_bounds(self, capsys, tmp_path, bounds, samples, points):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system should respond in 0.5 seconds\n", encoding="utf-8")
+        code, stdout, _ = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds", bounds, "--samples", samples,
+            ],
+        )
+        assert code == 0
+        head, *rows = stdout.splitlines()
+        fn = SatisfactionFunction.from_json(head)
+        lo, hi = fn.bounds
+        values = [tuple(map(float, row.split(","))) for row in rows]
+        assert [v for v, _ in values] == points
+        assert values[0][0] == lo and values[-1][0] == hi
+        assert all(lo <= v <= hi and g == fn(v) for v, g in values)
+
+    def test_bad_bounds_exit_2_on_an_empty_input(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys,
+            [
+                "quantify", "--patterns", PATTERNS, "--vectors", VECTORS,
+                "--input", str(inp), "--bounds", "5,1",
+            ],
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: bounds must satisfy lo < hi, got (5.0, 1.0)\n"
+
+    def test_warnings_go_to_stderr_by_line(self, capsys, tmp_path):
+        inp = tmp_path / "reqs.txt"
+        inp.write_text("The system shall be fast\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, ["quantify", "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+        )
+        assert code == 0
+        assert len(stdout.splitlines()) == 1
+        assert stderr.splitlines() == [
+            "line 1: no direction keyword found; assuming a minimized metric",
+            "line 1: no usable expectation point; defaulting bounds to (0, 1)",
+        ]
 
     def test_two_point_requirement_interpolates(self, capsys, tmp_path):
         inp = tmp_path / "reqs.txt"
@@ -459,7 +539,22 @@ class TestEval:
         )
         assert code == 2
         assert stdout == ""
-        assert "empty" in stderr
+        assert stderr == f"error: {base}: pattern knowledge base is empty\n"
+
+    def test_json_to_a_directory_exits_2_and_leaves_no_temp_file(self, capsys, tmp_path):
+        target = tmp_path / "report"
+        target.mkdir()
+        code, _, stderr = run(
+            capsys,
+            [
+                "eval", "--dataset", CORPUS, "--vectors", VECTORS,
+                "--runs", "1", "--json", str(target),
+            ],
+        )
+        assert code == 2
+        assert stderr.startswith("error: ")
+        assert sorted(os.listdir(tmp_path)) == ["report"]
+        assert os.listdir(target) == []
 
 
 def test_importing_the_cli_loads_no_numpy():

@@ -52,6 +52,30 @@ class TestLoadVectors:
         with pytest.raises(VectorFormatError):
             load_vectors(f)
 
+    def test_one_field_header(self, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("2\na 1 0\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="header must be 'vocab_size dimension'"):
+            load_vectors(f)
+
+    @pytest.mark.parametrize("header", ["-1 2", "1 0"])
+    def test_bad_header_values(self, tmp_path, header):
+        f = tmp_path / "v.txt"
+        f.write_text(f"{header}\na 1 0\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match=f"bad header values {header}$"):
+            load_vectors(f)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("2 2\n\na 1 0\n  \nb 0 1\n\n", encoding="utf-8")
+        assert sorted(load_vectors(f).entries) == ["a", "b"]
+
+    def test_non_numeric_component(self, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("1 2\nx 1 a\n", encoding="utf-8")
+        with pytest.raises(VectorFormatError, match="line 2: non-numeric component$"):
+            load_vectors(f)
+
     def test_entry_count_mismatch(self, tmp_path):
         f = tmp_path / "v.txt"
         f.write_text("3 2\na 1 0\nb 0 1\n", encoding="utf-8")
@@ -102,6 +126,12 @@ class TestVectorStore:
         entries = {"respond": np.ones(3), "within": np.full(3, 1e200)}
         with pytest.raises(VectorFormatError, match="within"):
             VectorStore(3, entries)
+
+    def test_finite_squares_whose_sum_overflows(self):
+        # each square is 1e308, their sum passes the float range inside fsum
+        overflows = "^vector of 'a' has a squared norm that overflows$"
+        with pytest.raises(VectorFormatError, match=overflows):
+            VectorStore(2, {"a": [1e154, 1e154]})
 
     def test_largest_accepted_scale_scores_finitely(self):
         # each squared norm just below the largest float

@@ -20,7 +20,7 @@ from perfquant.errors import (
     LengthMismatch,
     PerfQuantError,
 )
-from perfquant.evaluation import report_lines, sample_split
+from perfquant.evaluation import LabeledRequirement, report_lines, sample_split
 
 
 def label(codes):
@@ -83,6 +83,24 @@ class TestLoadDataset:
         )
         with pytest.raises(DatasetParseError, match=f"row 3: v_beta '{raw}' is not finite"):
             load_dataset(f)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",respond in 2 seconds,E,S,2,min", "empty id or text"),
+            ("r1,,E,S,2,min", "empty id or text"),
+            ("r1,respond in 2 seconds,E,S,x,min", "bad v_beta 'x'"),
+            ("r1,respond in 2 seconds,E,S,2,up", "bad direction 'up'"),
+        ],
+    )
+    def test_bad_field_reports_row(self, tmp_path, row, message):
+        f = tmp_path / "d.csv"
+        f.write_text(f"id,text,left,right,v_beta,direction\n{row}\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError, match=f"row 2: {message}$"):
+            load_dataset(f)
+
+    def test_row_without_a_span_has_no_pattern(self):
+        assert LabeledRequirement("r1", "it shall be", label("SS")).pattern is None
 
     def test_bad_header(self, tmp_path):
         f = tmp_path / "d.csv"

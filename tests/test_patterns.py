@@ -28,18 +28,26 @@ class TestPatternType:
             Pattern(("More", "than"), label("GE"))
 
     def test_dedup_keeps_first(self):
-        a = Pattern(("more", "than", "<N>"), label("GE"), source_id="a")
-        b = Pattern(("more", "than", "<N>"), label("GE"), source_id="b")
+        a = Pattern(("more", "than", "<N>"), label("GE"))
+        b = Pattern(("more", "than", "<N>"), label("GE"))
         c = Pattern(("more", "than", "<N>"), label("SE"))
         kb = PatternKB.build([a, b, c])
         assert len(kb.patterns) == 2
-        assert kb.patterns[0].source_id == "a"
+        assert kb.patterns[0] is a
 
-    def test_equality_and_hash_ignore_the_source(self):
-        a = Pattern(("more", "than", "<N>"), label("GE"), source_id="a")
-        b = Pattern(("more", "than", "<N>"), label("GE"), source_id="b")
-        assert a == b and hash(a) == hash(b)
-        assert a != Pattern(("more", "than", "<N>"), label("SE"), source_id="a")
+    def test_equality_and_hash_follow_tokens_and_label(self):
+        a = Pattern(("more", "than", "<N>"), label("GE"))
+        b = Pattern(("more", "than", "<N>"), label("GE"))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != Pattern(("more", "than", "<N>"), label("SE"))
+        assert a != Pattern(("less", "than", "<N>"), label("GE"))
+
+    def test_a_pattern_is_only_its_tokens_and_label(self):
+        with pytest.raises(TypeError):
+            Pattern(("more", "than", "<N>"), label("GE"), "r1")
+        req = tokenize("it shall respond within 2 seconds")
+        with pytest.raises(TypeError):
+            extract_pattern(req, label("ES"), source_id="r1")
 
 
 # few distinct (tokens, label) pairs, so that most lists repeat some
@@ -47,7 +55,6 @@ PATTERNS = st.builds(
     Pattern,
     st.sampled_from([("within", PLACEHOLDER), ("at", "most", PLACEHOLDER), ("fast",)]),
     st.sampled_from(ALL_LABELS[:3]),
-    st.none() | st.sampled_from("abc"),
 )
 
 
@@ -177,6 +184,10 @@ class TestExtractPattern:
         req = tokenize("fast and cheap")
         with pytest.raises(NoExtractableSpan):
             extract_pattern(req, label("SS"))
+
+    def test_nothing_after_the_anchor_raises(self):
+        with pytest.raises(NoExtractableSpan, match="no span after anchor"):
+            extract_pattern(tokenize("it shall be"), label("ES"))
 
     def test_placeholder_iff_reachable_number(self):
         reachable = extract_pattern(tokenize("respond shall be in 3 seconds"), label("ES"))
