@@ -7,15 +7,6 @@ scoring, then compiled into piecewise-linear satisfaction functions.
 """
 
 from .embeddings import VectorStore, cosine, load_vectors, sentence_vector
-from .evaluation import (
-    BootstrapResult,
-    LabeledRequirement,
-    MetricsReport,
-    bootstrap_eval,
-    cross_eval,
-    load_dataset,
-    weighted_metrics,
-)
 from .matching import (
     LcsResult,
     MatchResult,
@@ -54,6 +45,32 @@ from .satisfaction import (
 )
 
 __version__ = "0.1.0"
+
+# the evaluation stack (csv, statistics and with it fractions and decimal) is
+# imported on first use of one of its names: `classify` and `quantify` never
+# pay for it (PEP 562)
+_EVALUATION_NAMES = frozenset({
+    "BootstrapResult",
+    "LabeledRequirement",
+    "MetricsReport",
+    "bootstrap_eval",
+    "cross_eval",
+    "load_dataset",
+    "weighted_metrics",
+})
+
+
+def __getattr__(name: str):
+    if name not in _EVALUATION_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import evaluation
+
+    value = globals()[name] = getattr(evaluation, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EVALUATION_NAMES})
 
 __all__ = [
     "ALL_LABELS",

@@ -9,15 +9,6 @@ import sys
 import tempfile
 
 from .errors import EmptyKB, InvalidArgument, PerfQuantError
-from .evaluation import (
-    BootstrapResult,
-    bootstrap_eval,
-    cross_eval,
-    extract_patterns,
-    load_dataset,
-    report_json,
-    report_lines,
-)
 from .matching import MatcherConfig
 from .patterns import PatternKB, format_patterns, load_patterns
 from .pipeline import QuantificationRequest, classify, quantify
@@ -48,6 +39,9 @@ def _format_beta(v_beta: float | None) -> str:
 
 
 def run_extract(args: argparse.Namespace) -> int:
+    # imported here, as in run_eval, so that classify and quantify do not load it
+    from .evaluation import extract_patterns, load_dataset
+
     rows = load_dataset(args.labeled)
     extracted = extract_patterns(rows)
     try:
@@ -125,6 +119,15 @@ def run_quantify(args: argparse.Namespace) -> int:
 
 
 def run_eval(args: argparse.Namespace) -> int:
+    from .evaluation import (
+        BootstrapResult,
+        bootstrap_eval,
+        cross_eval,
+        load_dataset,
+        report_json,
+        report_lines,
+    )
+
     dataset = load_dataset(args.dataset)
     store = load_vectors(args.vectors)
     base = ()
@@ -134,21 +137,30 @@ def run_eval(args: argparse.Namespace) -> int:
 
     if args.test_dataset:
         test = load_dataset(args.test_dataset)
-        result = BootstrapResult([cross_eval(dataset, test, store, base, cfg)])
+        try:
+            report = cross_eval(dataset, test, store, base, cfg)
+        except EmptyKB as exc:
+            raise EmptyKB(
+                f"{args.dataset}: none of {len(dataset)} rows yields a pattern: {exc}"
+            ) from None
+        result = BootstrapResult([report])
         # a single cross-dataset run reports its row without a mean±sd summary
         lines = report_lines(result)[:-1]
         payload = {"runs": report_json(result)["runs"]}
     else:
-        result = bootstrap_eval(
-            dataset,
-            runs=args.runs,
-            train_fraction=args.train_fraction,
-            seed=args.seed,
-            store=store,
-            base_patterns=base,
-            cfg=cfg,
-            train_size=args.train_size,
-        )
+        try:
+            result = bootstrap_eval(
+                dataset,
+                runs=args.runs,
+                train_fraction=args.train_fraction,
+                seed=args.seed,
+                store=store,
+                base_patterns=base,
+                cfg=cfg,
+                train_size=args.train_size,
+            )
+        except EmptyKB as exc:
+            raise EmptyKB(f"{args.dataset}: {exc}") from None
         lines = report_lines(result)
         payload = report_json(result)
 

@@ -13,7 +13,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import DimensionMismatch, InvalidArgument, VectorFormatError, shown
+from .errors import DimensionMismatch, InvalidArgument, VectorFormatError, reads_utf8, shown
 from .patterns import PLACEHOLDER
 from .text import NUMBER_RE
 
@@ -84,6 +84,7 @@ class VectorStore:
         return len(self.entries)
 
 
+@reads_utf8(VectorFormatError)
 def load_vectors(path: str | os.PathLike) -> VectorStore:
     """Read a word2vec text file: header "vocab_size dimension", then one
     word plus `dimension` floats per line."""

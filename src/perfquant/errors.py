@@ -1,5 +1,7 @@
 """Exception types shared across the package, and how their messages show a value."""
 
+import functools
+
 
 def shown(value, form=repr) -> str:
     """`form(value)` for an error message; an int with more digits than
@@ -8,6 +10,37 @@ def shown(value, form=repr) -> str:
         return form(value)
     except ValueError:
         return f"<{type(value).__name__} too long to print>"
+
+
+def _not_utf8(path) -> str:
+    """`path`, the line of its first byte that is not UTF-8, and that byte."""
+    # a line never splits a UTF-8 sequence, as none holds the newline byte
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                byte = line[exc.start]
+                return f"{path}: line {lineno}: byte {byte:#04x} is not UTF-8 ({exc.reason})"
+    return f"{path}: not UTF-8"
+
+
+def reads_utf8(error: type):
+    """Decorate a loader of the file at `path`: a file that is not UTF-8
+    raises `error`, naming the file, its line and the byte, where a bare
+    `UnicodeDecodeError` that names no file would escape."""
+
+    def decorate(load):
+        @functools.wraps(load)
+        def loader(path):
+            try:
+                return load(path)
+            except UnicodeDecodeError:
+                raise error(_not_utf8(path)) from None
+
+        return loader
+
+    return decorate
 
 
 class PerfQuantError(Exception):

@@ -18,9 +18,11 @@ from .errors import (
     DatasetTooSmall,
     DuplicateId,
     EmptyInput,
+    EmptyKB,
     InvalidArgument,
     LengthMismatch,
     NoExtractableSpan,
+    reads_utf8,
     shown,
 )
 from .matching import MatcherConfig, select
@@ -88,6 +90,7 @@ class BootstrapResult:
             self.sd = tuple(map(statistics.stdev, columns))
 
 
+@reads_utf8(DatasetParseError)
 def load_dataset(path: str | os.PathLike) -> list[LabeledRequirement]:
     """CSV with header id,text,left,right,v_beta,direction; v_beta and
     direction may be empty."""
@@ -263,7 +266,12 @@ def bootstrap_eval(
         train_idx, test_idx = sample_split(n, k, seed, run_index)
         train = [dataset[i] for i in train_idx]
         test = [dataset[i] for i in test_idx]
-        reports.append(evaluate_split(train, test, store, base_patterns, cfg))
+        try:
+            reports.append(evaluate_split(train, test, store, base_patterns, cfg))
+        except EmptyKB as exc:
+            raise EmptyKB(
+                f"run {run_index + 1}: none of its {k} training rows yields a pattern: {exc}"
+            ) from None
     return BootstrapResult(reports=reports, train_size=k)
 
 

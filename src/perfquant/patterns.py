@@ -7,7 +7,14 @@ import string
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EmptyKB, InvalidArgument, NoExtractableSpan, PatternParseError, UnknownLabelCode
+from .errors import (
+    EmptyKB,
+    InvalidArgument,
+    NoExtractableSpan,
+    PatternParseError,
+    UnknownLabelCode,
+    reads_utf8,
+)
 from .satisfaction import ClassLabel
 from .text import TokenizedRequirement
 
@@ -43,20 +50,18 @@ class Pattern:
     label: ClassLabel
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tokens, tuple):
-            raise InvalidArgument(f"pattern tokens must be a tuple, got {self.tokens!r}")
-        if not self.tokens:
+        tokens = self.tokens
+        if not isinstance(tokens, tuple):
+            raise InvalidArgument(f"pattern tokens must be a tuple, got {tokens!r}")
+        if not tokens:
             raise InvalidArgument("pattern must have at least one token")
-        if sum(1 for t in self.tokens if t == PLACEHOLDER) > 1:
+        if tokens.count(PLACEHOLDER) > 1:
             raise InvalidArgument(f"pattern has multiple {PLACEHOLDER} placeholders")
-        try:
-            for t in self.tokens:
-                if t == PLACEHOLDER:
-                    continue
-                if not t or t != t.lower() or any(ch.isspace() for ch in t):
-                    raise InvalidArgument(f"bad pattern token {t!r}")
-        except AttributeError:  # a token that is not a string
-            raise InvalidArgument(f"bad pattern token {t!r}") from None
+        for t in tokens:
+            # `t.split() == [t]`: t is not empty and holds no character that
+            # `str.isspace` accepts, as `str.split` splits on exactly those
+            if t != PLACEHOLDER and (not isinstance(t, str) or t != t.lower() or t.split() != [t]):
+                raise InvalidArgument(f"bad pattern token {t!r}")
 
     @property
     def text(self) -> str:
@@ -166,6 +171,7 @@ def _parse_pattern_line(line: str, where: str) -> Pattern:
         raise PatternParseError(f"{where}: {exc}") from exc
 
 
+@reads_utf8(PatternParseError)
 def load_patterns(path: str | os.PathLike) -> PatternKB:
     """Load a pattern TSV."""
     patterns = []

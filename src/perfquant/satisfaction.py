@@ -40,9 +40,14 @@ class FragmentKind(Enum):
     @classmethod
     def from_code(cls, code: str) -> "FragmentKind":
         try:
-            return cls(code.strip().upper())
-        except (AttributeError, ValueError):
+            return _FRAGMENT_KINDS[code.strip().upper()]
+        except (AttributeError, KeyError, TypeError):
             raise InvalidArgument(f"fragment code must be G, S or E, got {code!r}") from None
+
+
+# `from_code` looks a code up here: a dict read, where `FragmentKind(code)`
+# pays for a call through the Enum constructor
+_FRAGMENT_KINDS = {kind.value: kind for kind in FragmentKind}
 
 
 @dataclass(frozen=True)

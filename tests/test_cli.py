@@ -541,6 +541,37 @@ class TestEval:
         assert stdout == ""
         assert stderr == f"error: {base}: pattern knowledge base is empty\n"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--runs", "1"],
+                "run 1: none of its 2 training rows yields a pattern: "
+                "pattern knowledge base is empty",
+            ),
+            (
+                ["--test-dataset", CORPUS],
+                "none of 3 rows yields a pattern: pattern knowledge base is empty",
+            ),
+        ],
+        ids=["bootstrap", "cross-dataset"],
+    )
+    def test_training_rows_without_a_pattern_exit_2_naming_the_file(
+        self, capsys, tmp_path, extra, message
+    ):
+        src = tmp_path / "spanless.csv"
+        src.write_text(
+            "id,text,left,right,v_beta,direction\n"
+            + "".join(f"r{i},it shall be,E,S,,\n" for i in range(3)),
+            encoding="utf-8",
+        )
+        code, stdout, stderr = run(
+            capsys, ["eval", "--dataset", str(src), "--vectors", VECTORS, *extra]
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == f"error: {src}: {message}\n"
+
     def test_json_to_a_directory_exits_2_and_leaves_no_temp_file(self, capsys, tmp_path):
         target = tmp_path / "report"
         target.mkdir()
@@ -557,10 +588,41 @@ class TestEval:
         assert os.listdir(target) == []
 
 
-def test_importing_the_cli_loads_no_numpy():
-    """The package is pure Python: start-up pays for no numpy import."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, perfquant.cli; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    """The package is pure Python: start-up pays for no numpy import. Nor
+    does it pay for the evaluation stack, which `import perfquant` and the
+    `classify` and `quantify` commands never use."""
+    unwanted = ("numpy", "perfquant.evaluation", "statistics", "csv")
+    for module in ("perfquant", "perfquant.cli"):
+        code = f"import sys, {module}; print(*[m for m in {unwanted!r} if m in sys.modules])"
+        done = _fresh_python(code)
+        assert (done.returncode, done.stdout) == (0, "\n"), f"import {module}: {done}"
+
+
+def test_every_public_name_resolves():
+    """The evaluation names load on first use, yet read, import and list as the others do."""
+    code = """
+import sys, perfquant
+assert "perfquant.evaluation" not in sys.modules
+listed = dir(perfquant)
+star = {}
+exec("from perfquant import *", star)
+print(*[n for n in perfquant.__all__ if n not in listed or n not in star or star[n] is None])
+print(perfquant.bootstrap_eval is sys.modules["perfquant.evaluation"].bootstrap_eval)
+try:
+    perfquant.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    done = _fresh_python(code)
+    assert (done.returncode, done.stdout) == (
+        0, "\nTrue\nmodule 'perfquant' has no attribute 'no_such_name'\n"
+    ), done

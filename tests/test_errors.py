@@ -21,10 +21,19 @@ from perfquant import (
     combine,
     compile_single,
     evaluate,
+    load_dataset,
+    load_patterns,
+    load_vectors,
     sentence_vector,
     set_scores,
 )
-from perfquant.errors import InvalidArgument, PerfQuantError
+from perfquant.errors import (
+    DatasetParseError,
+    InvalidArgument,
+    PatternParseError,
+    PerfQuantError,
+    VectorFormatError,
+)
 from perfquant.patterns import PLACEHOLDER
 from perfquant.satisfaction import check_bounds
 
@@ -311,3 +320,45 @@ def test_each_bad_argument_raises_the_typed_error(site):
     assert type(caught.value) is InvalidArgument
     assert isinstance(caught.value, ValueError)
     assert str(caught.value) == message
+
+
+# a file that is not UTF-8 raises the loader's own parse error, naming the
+# file, the line and the byte, where a bare UnicodeDecodeError named no file
+FILE_SITES = {
+    "load_patterns, a stray byte": (
+        load_patterns,
+        b"more than <N>\tG\tE\nin \xff <N>\tE\tS\n",
+        PatternParseError,
+        "line 2: byte 0xff is not UTF-8 (invalid start byte)",
+    ),
+    "load_vectors, a stray byte": (
+        load_vectors,
+        b"2 1\nnumber 1.0\nfast\xff 0.5\n",
+        VectorFormatError,
+        "line 3: byte 0xff is not UTF-8 (invalid start byte)",
+    ),
+    "load_dataset, a stray byte": (
+        load_dataset,
+        b"id,text,left,right,v_beta,direction\nr1,respond in \xff 5 s,E,S,,\n",
+        DatasetParseError,
+        "line 2: byte 0xff is not UTF-8 (invalid start byte)",
+    ),
+    # after a byte-order mark, and a sequence cut short at the end of the file
+    "load_patterns, a cut sequence after a BOM": (
+        load_patterns,
+        "\ufeffin <N>\tE\tS\n".encode() + b"under <N>\tE\tS \xe2\x82",
+        PatternParseError,
+        "line 2: byte 0xe2 is not UTF-8 (unexpected end of data)",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", FILE_SITES)
+def test_each_file_that_is_not_utf8_raises_the_typed_error(site, tmp_path):
+    load, content, error, message = FILE_SITES[site]
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(PerfQuantError) as caught:
+        load(path)
+    assert type(caught.value) is error
+    assert str(caught.value) == f"{path}: {message}"

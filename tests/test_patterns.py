@@ -1,12 +1,19 @@
 import re
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfquant import ALL_LABELS, ClassLabel, Pattern, extract_pattern, load_patterns
+from perfquant import ALL_LABELS, ClassLabel, FragmentKind, Pattern, extract_pattern, load_patterns
 from perfquant.data import path as data_path
-from perfquant.errors import EmptyKB, NoExtractableSpan, PatternParseError, UnknownLabelCode
+from perfquant.errors import (
+    EmptyKB,
+    InvalidArgument,
+    NoExtractableSpan,
+    PatternParseError,
+    UnknownLabelCode,
+)
 from perfquant.matching import NEGATIONS
 from perfquant.patterns import PLACEHOLDER, PatternKB, format_patterns
 from perfquant.text import tokenize
@@ -196,3 +203,75 @@ class TestExtractPattern:
             tokenize("The system shall stay responsive"), label("SS")
         )
         assert PLACEHOLDER not in unreachable.tokens
+
+
+# the checks as they read before `Pattern` tested `t.split() != [t]` and
+# `FragmentKind.from_code` looked its code up in a table: the reference the
+# faster checks must agree with on every input
+
+
+def reference_pattern_error(tokens):
+    """The message the earlier `Pattern` check raised for `tokens`, or None."""
+    if not tokens:
+        return "pattern must have at least one token"
+    if sum(1 for t in tokens if t == PLACEHOLDER) > 1:
+        return f"pattern has multiple {PLACEHOLDER} placeholders"
+    try:
+        for t in tokens:
+            if t == PLACEHOLDER:
+                continue
+            if not t or t != t.lower() or any(ch.isspace() for ch in t):
+                return f"bad pattern token {t!r}"
+    except AttributeError:  # a token that is not a string
+        return f"bad pattern token {t!r}"
+    return None
+
+
+def reference_fragment_kind(code):
+    """The kind the earlier `FragmentKind.from_code` returned, or None where it raised."""
+    try:
+        return FragmentKind(code.strip().upper())
+    except (AttributeError, ValueError):
+        return None
+
+
+WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+# every whitespace character, the ones whose case changes, and any other
+CHARS = st.one_of(st.sampled_from(WHITESPACE), st.sampled_from("aAbBnN<>İΣσß"), st.characters())
+TOKENS = st.one_of(
+    st.text(CHARS, max_size=6),
+    st.just(PLACEHOLDER),
+    st.integers(),
+    st.binary(max_size=3),
+    st.none(),
+)
+
+
+class TestChecksAgreeWithReference:
+    def test_split_finds_whitespace_as_isspace_does(self):
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            token = f"a{ch}b"
+            assert (token.split() != [token]) == ch.isspace(), hex(ord(ch))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(TOKENS, max_size=4).map(tuple))
+    def test_pattern_accepts_and_rejects_as_the_reference(self, tokens):
+        want = reference_pattern_error(tokens)
+        if want is None:
+            assert Pattern(tokens, label("ES")).tokens == tokens
+        else:
+            with pytest.raises(InvalidArgument) as caught:
+                Pattern(tokens, label("ES"))
+            assert str(caught.value) == want
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.text(st.one_of(st.sampled_from(WHITESPACE + "gseGSEx"), st.characters()),
+                             max_size=4),
+                     st.integers(), st.binary(max_size=2), st.none()))
+    def test_from_code_accepts_and_rejects_as_the_reference(self, code):
+        want = reference_fragment_kind(code)
+        if want is None:
+            with pytest.raises(InvalidArgument, match="fragment code must be G, S or E"):
+                FragmentKind.from_code(code)
+        else:
+            assert FragmentKind.from_code(code) is want
