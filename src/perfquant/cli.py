@@ -8,7 +8,7 @@ import os
 import sys
 import tempfile
 
-from .errors import EmptyKB, InvalidArgument, PerfQuantError
+from .errors import EmptyKB, InvalidArgument, PerfQuantError, reads_utf8
 from .matching import MatcherConfig
 from .patterns import PatternKB, format_patterns, load_patterns
 from .pipeline import QuantificationRequest, classify, quantify
@@ -54,6 +54,7 @@ def run_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+@reads_utf8(InvalidArgument)
 def _read_lines(path: str) -> list[tuple[int, str]]:
     """The non-blank lines of `path`, each with its line number in the file."""
     with open(path, encoding="utf-8-sig") as fh:
@@ -62,10 +63,12 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
 
 def run_classify(args: argparse.Namespace) -> int:
     kb = load_patterns(args.patterns)
-    store = load_vectors(args.vectors)
+    store = load_vectors(args.vectors, (t for p in kb.patterns for t in p.tokens))
     cfg = MatcherConfig(w=args.w)
+    # read first, so that an unreadable input prints no header
+    lines = _read_lines(args.input)
     print("line_no\tpart\tleft\tright\tv_beta\tfused\tpattern")
-    for line_no, line in _read_lines(args.input):
+    for line_no, line in lines:
         # one row per split part, so a second expectation point is kept
         for part_no, part in enumerate(classify(line, kb, store, cfg), start=1):
             match = part.match
@@ -93,7 +96,7 @@ def run_quantify(args: argparse.Namespace) -> int:
         raise InvalidArgument(f"--samples must be >= 0, got {args.samples}")
     bounds = _parse_bounds(args.bounds) if args.bounds else None
     kb = load_patterns(args.patterns)
-    store = load_vectors(args.vectors)
+    store = load_vectors(args.vectors, (t for p in kb.patterns for t in p.tokens))
     cfg = MatcherConfig(w=args.w)
     direction = MetricDirection(args.direction) if args.direction else None
     for line_no, line in _read_lines(args.input):
@@ -123,16 +126,19 @@ def run_eval(args: argparse.Namespace) -> int:
         BootstrapResult,
         bootstrap_eval,
         cross_eval,
+        extract_patterns,
         load_dataset,
         report_json,
         report_lines,
     )
 
     dataset = load_dataset(args.dataset)
-    store = load_vectors(args.vectors)
     base = ()
     if args.base_patterns:
         base = load_patterns(args.base_patterns).patterns
+    # every pattern a run can score: the base's and the extracted ones
+    patterns = [*base, *extract_patterns(dataset)]
+    store = load_vectors(args.vectors, (t for p in patterns for t in p.tokens))
     cfg = MatcherConfig(w=args.w)
 
     if args.test_dataset:

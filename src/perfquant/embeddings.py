@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -85,9 +85,23 @@ class VectorStore:
 
 
 @reads_utf8(VectorFormatError)
-def load_vectors(path: str | os.PathLike) -> VectorStore:
+def load_vectors(path: str | os.PathLike, vocabulary: Iterable[str] | None = None) -> VectorStore:
     """Read a word2vec text file: header "vocab_size dimension", then one
-    word plus `dimension` floats per line."""
+    word plus `dimension` floats per line.
+
+    With a `vocabulary`, only the lines of its words and of `NUMBER_WORD`,
+    the word `sentence_vector` reads for every placeholder and numeral,
+    are parsed and checked, and the store holds only those words.  Every
+    other non-blank line is counted against the header and not read
+    further, so its defects go unseen.
+    """
+    if isinstance(vocabulary, str):
+        raise InvalidArgument("vocabulary must be an iterable of words, not one string")
+    try:
+        keep = None if vocabulary is None else {*vocabulary, NUMBER_WORD}
+    except TypeError:  # not iterable, or a word that is not hashable
+        raise InvalidArgument("vocabulary must be an iterable of words") from None
+
     with open(path, encoding="utf-8-sig") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -100,11 +114,19 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
             raise VectorFormatError(f"{path}: bad header values {vocab_size} {dimension}")
 
         entries: dict[str, array] = {}
+        count = 0
         for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
+            # a line the vocabulary skips is split at its word only, and not parsed
+            fields = line.split() if keep is None else line.split(None, 1)
             if not fields:
                 continue
-            word, values = fields[0], fields[1:]
+            count += 1
+            word = fields[0]
+            if keep is not None:
+                if word not in keep:
+                    continue
+                fields = line.split()
+            values = fields[1:]
             if len(values) != dimension:
                 raise DimensionMismatch(
                     f"{path}: line {lineno}: expected {dimension} components, got {len(values)}"
@@ -119,10 +141,8 @@ def load_vectors(path: str | os.PathLike) -> VectorStore:
                 raise VectorFormatError(f"{path}: line {lineno}: {defect}")
             entries[word] = vec
 
-    if len(entries) != vocab_size:
-        raise VectorFormatError(
-            f"{path}: header promises {vocab_size} entries, file has {len(entries)}"
-        )
+    if count != vocab_size:
+        raise VectorFormatError(f"{path}: header promises {vocab_size} entries, file has {count}")
     return VectorStore(dimension=dimension, entries=entries)
 
 

@@ -26,15 +26,15 @@ def _not_utf8(path) -> str:
 
 
 def reads_utf8(error: type):
-    """Decorate a loader of the file at `path`: a file that is not UTF-8
-    raises `error`, naming the file, its line and the byte, where a bare
-    `UnicodeDecodeError` that names no file would escape."""
+    """Decorate a loader of the file at `path`, its first argument: a file
+    that is not UTF-8 raises `error`, naming the file, its line and the
+    byte, where a bare `UnicodeDecodeError` that names no file would escape."""
 
     def decorate(load):
         @functools.wraps(load)
-        def loader(path):
+        def loader(path, *args, **kwargs):
             try:
-                return load(path)
+                return load(path, *args, **kwargs)
             except UnicodeDecodeError:
                 raise error(_not_utf8(path)) from None
 

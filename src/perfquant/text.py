@@ -59,9 +59,12 @@ class TokenizedRequirement:
 
 def _number(surface: str, digits: str) -> Token:
     """The number token of `digits`, which `NUMBER_RE` matches, negated when
-    a '-' directly precedes the digits in `surface`."""
-    value = float(digits.replace(",", ""))
+    a '-' directly precedes the digits in `surface`; a single '.' directly
+    before them is a decimal point when "0." and the digits form a numeral."""
     lead = surface[: len(surface) - len(surface.lstrip(string.punctuation))]
+    if lead.endswith(".") and not lead.endswith("..") and NUMBER_RE.match("0." + digits):
+        digits, lead = "0." + digits, lead[:-1]
+    value = float(digits.replace(",", ""))
     return _make_token((surface, digits.lower(), -value if lead.endswith("-") else value))
 
 
@@ -71,7 +74,10 @@ def tokenize(text: str) -> TokenizedRequirement:
     Thousands separators, decimals and an exponent are parsed ("1,000" ->
     1000.0, "1e3" -> 1000.0), and a sign directly before the digits sets
     the value's sign ("-5" -> -5.0) while the normalized form stays
-    unsigned ("5").  A number directly
+    unsigned ("5").  A single '.' directly before the digits is a decimal
+    point (".5" and "-.5" -> 0.5 and -0.5, normalized "0.5"), but a run of
+    dots ("..5") or digits that hold a point (".5.3") leave it punctuation.
+    A number directly
     followed by letters becomes two tokens, the number and the lowercased
     letters ("15ms" -> "15", "ms"), unless the letters are an ordinal
     suffix.  A token consisting only of punctuation (a lone ";" or ",")

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+import perfquant.cli as cli
 from perfquant.cli import _parse_bounds, main
 from perfquant.data import (
     HOLDOUT_FILE,
@@ -14,7 +16,9 @@ from perfquant.data import (
     VECTORS_FILE,
     path as data_path,
 )
+from perfquant.embeddings import load_vectors
 from perfquant.errors import PerfQuantError
+from perfquant.evaluation import load_dataset
 from perfquant.satisfaction import SatisfactionFunction
 
 CORPUS = str(data_path(MINI_CORPUS_FILE))
@@ -214,6 +218,61 @@ def test_comment_only_pattern_file_exits_2_before_any_output(capsys, tmp_path, c
     assert code == 2
     assert stdout == ""
     assert stderr == f"error: {patterns}: pattern knowledge base is empty\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "quantify"])
+def test_input_that_is_not_utf8_exits_2_before_any_output(capsys, tmp_path, command):
+    inp = tmp_path / "reqs.txt"
+    inp.write_bytes(b"The system should respond in 2 seconds\n\xffThe system must be fast\n")
+    code, stdout, stderr = run(
+        capsys, [command, "--patterns", PATTERNS, "--vectors", VECTORS, "--input", str(inp)]
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {inp}: line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_a_restricted_vector_load_prints_what_a_full_one_does(capsys, tmp_path, monkeypatch):
+    # the bundled vectors plus words no base uses, one of them on a malformed
+    # line, which a load restricted to the bases' words never parses
+    header, *body = data_path(VECTORS_FILE).read_text(encoding="utf-8").splitlines()
+    count, dimension = map(int, header.split())
+    extra = [f"unused{i} " + " ".join(["0.5"] * dimension) for i in range(50)]
+    larger = tmp_path / "larger.txt"
+    larger.write_text(
+        "\n".join([f"{count + 51} {dimension}", *extra[:25], *body, "unused-bad 1 x", *extra[25:]]),
+        encoding="utf-8",
+    )
+    inp = tmp_path / "reqs.txt"
+    inp.write_text(
+        "".join(row.text + "\n" for name in (CORPUS, HOLDOUT) for row in load_dataset(name)),
+        encoding="utf-8",
+    )
+    match = ["--patterns", PATTERNS, "--input", str(inp)]
+    commands = [
+        ["classify", *match],
+        ["quantify", *match, "--samples", "4"],
+        ["eval", "--dataset", CORPUS, "--runs", "2"],
+        ["eval", "--dataset", CORPUS, "--runs", "2", "--base-patterns", PATTERNS],
+        ["eval", "--dataset", CORPUS, "--test-dataset", HOLDOUT],
+    ]
+    sizes = []
+
+    def load(path, vocabulary=None, restrict=True):
+        assert vocabulary is not None
+        store = load_vectors(path, vocabulary if restrict else None)
+        sizes.append(len(store.entries))
+        return store
+
+    def outputs(vectors, restrict):
+        monkeypatch.setattr(cli, "load_vectors", partial(load, restrict=restrict))
+        return [run(capsys, [*argv, "--vectors", vectors]) for argv in commands]
+
+    full = outputs(VECTORS, restrict=False)
+    assert all(code == 0 for code, _, _ in full)
+    assert outputs(VECTORS, restrict=True) == full
+    assert outputs(str(larger), restrict=True) == full
+    assert max(sizes[len(commands):]) < min(sizes[: len(commands)]) == count
 
 
 class TestQuantify:

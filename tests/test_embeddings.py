@@ -1,6 +1,8 @@
 import math
+import os
 import random
 import sys
+import tempfile
 from array import array
 
 import numpy as np
@@ -109,6 +111,100 @@ class TestLoadVectors:
         # matches the on-disk file exactly
         again = load_vectors(data_path(VECTORS_FILE))
         assert len(again) == len(mini_store)
+
+
+# words of a generated vector file, and of the vocabularies that read it
+WORD_POOL = ("number", "fast", "under", "seconds", "users", "can't", ";", "ünï", "absent")
+
+
+@st.composite
+def vector_files(draw):
+    """The text of a well-formed vector file, with blank lines and runs of
+    spaces and tabs between fields, and its entries by word."""
+    dimension = draw(st.integers(1, 4))
+    words = draw(st.lists(st.sampled_from(WORD_POOL[:-1]), unique=True))
+    floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e100, max_value=1e100)
+    entries = {w: draw(st.lists(floats, min_size=dimension, max_size=dimension)) for w in words}
+    gap = st.sampled_from([" ", "\t", "  "])
+    blanks = st.sampled_from(["", "\n", "  \n"])
+    lines = [f"{len(words)} {dimension}\n"]
+    for word, vec in entries.items():
+        fields = [word, *map(repr, vec)]
+        lines.append(draw(blanks) + "".join(f + draw(gap) for f in fields[:-1]) + fields[-1] + "\n")
+    return "".join(lines), entries
+
+
+class TestRestrictedLoad:
+    @given(vector_files(), st.lists(st.sampled_from(WORD_POOL)))
+    @example(("2 1\nnumber 1.5\nfast 0.25\n", None), [])
+    @example(("1 2\nfast 1 2\n", None), ["fast", "absent"])
+    def test_holds_the_full_entries_of_the_vocabulary_and_number(self, file, vocabulary):
+        content, _ = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "v.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content)
+            full = load_vectors(path)
+            restricted = load_vectors(path, iter(vocabulary))
+        want = {w: full.entries[w] for w in full.entries if w in {*vocabulary, "number"}}
+        assert restricted.dimension == full.dimension
+        assert list(restricted.entries) == list(want)
+        assert all(restricted.entries[w].tobytes() == want[w].tobytes() for w in want)
+
+    @pytest.mark.parametrize("vocabulary", [None, [], ["a"], ["a", "b", "c"]])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("3 2\na 1 0\nb 0 1\n", "header promises 3 entries, file has 2"),
+            ("1 2\na 1 0\n\nb 0 1\n", "header promises 1 entries, file has 2"),
+        ],
+    )
+    def test_the_header_count_holds_with_or_without_a_vocabulary(
+        self, tmp_path, vocabulary, content, message
+    ):
+        f = tmp_path / "v.txt"
+        f.write_text(content, encoding="utf-8")
+        with pytest.raises(VectorFormatError) as caught:
+            load_vectors(f, vocabulary)
+        assert str(caught.value) == f"{f}: {message}"
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [
+            ("b 0 1 1", DimensionMismatch, "line 3: expected 2 components, got 3"),
+            ("b", DimensionMismatch, "line 3: expected 2 components, got 0"),
+            ("b 1 x", VectorFormatError, "line 3: non-numeric component"),
+            ("a 0 1", VectorFormatError, "line 3: duplicate word 'a'"),
+            ("b 0 nan", VectorFormatError, "line 3: a non-finite component"),
+            ("b 1e200 1e200", VectorFormatError, "line 3: a squared norm that overflows"),
+        ],
+    )
+    def test_a_kept_word_line_raises_as_in_a_full_load(self, tmp_path, line, error, message):
+        f = tmp_path / "v.txt"
+        f.write_text(f"3 2\na 1 0\n{line}\nc 1 1\n", encoding="utf-8")
+        word = line.split()[0]
+        for vocabulary in (None, [word], [word, "c", "absent"]):
+            with pytest.raises(error) as caught:
+                load_vectors(f, vocabulary)
+            assert str(caught.value) == f"{f}: {message}"
+        # the line of a word outside the vocabulary is counted, not read
+        skipped = load_vectors(f, ["c"])
+        assert list(skipped.entries) == ["c"]
+
+    def test_number_is_kept_for_any_vocabulary(self, tmp_path):
+        f = tmp_path / "v.txt"
+        f.write_text("3 2\nfast 1 0\nnumber 0 1\nslow 1 1\n", encoding="utf-8")
+        store = load_vectors(f, ["fast"])
+        assert list(store.entries) == ["fast", "number"]
+        # the placeholder and the numeral read `number`; "slow", which the
+        # load skipped, is skipped as any unknown word is
+        assert sentence_vector(store, ["fast", PLACEHOLDER, "7", "slow"]) == (1 / 3, 2 / 3)
+
+    def test_the_bundled_base_keeps_a_few_of_the_bundled_words(self, bundled_kb, mini_store):
+        tokens = {t for p in bundled_kb.patterns for t in p.tokens}
+        store = load_vectors(data_path(VECTORS_FILE), tokens)
+        assert store.entries.keys() == mini_store.entries.keys() & {*tokens, "number"}
+        assert 20 < len(store.entries) < len(mini_store.entries) // 4
 
 
 class TestVectorStore:

@@ -3,6 +3,7 @@
 `ValueError`, so a caller's `except ValueError` keeps working."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -309,6 +310,19 @@ SITES = {
         "train_size must be an integer, got True",
     ),
     "bootstrap_eval, a bool seed": (lambda: _bootstrap(seed=True), "seed must be an integer, got True"),
+    # checked before the file is opened
+    "load_vectors, one string as the vocabulary": (
+        lambda: load_vectors("unread.txt", "fast"),
+        "vocabulary must be an iterable of words, not one string",
+    ),
+    "load_vectors, a number as the vocabulary": (
+        lambda: load_vectors("unread.txt", 5),
+        "vocabulary must be an iterable of words",
+    ),
+    "load_vectors, a vocabulary of lists": (
+        lambda: load_vectors("unread.txt", [["fast"]]),
+        "vocabulary must be an iterable of words",
+    ),
 }
 
 
@@ -342,6 +356,13 @@ FILE_SITES = {
         b"id,text,left,right,v_beta,direction\nr1,respond in \xff 5 s,E,S,,\n",
         DatasetParseError,
         "line 2: byte 0xff is not UTF-8 (invalid start byte)",
+    ),
+    # the line of a word the vocabulary skips is decoded all the same
+    "load_vectors with a vocabulary, a stray byte on a skipped line": (
+        partial(load_vectors, vocabulary=["number"]),
+        b"2 1\nnumber 1.0\nfast\xff 0.5\n",
+        VectorFormatError,
+        "line 3: byte 0xff is not UTF-8 (invalid start byte)",
     ),
     # after a byte-order mark, and a sequence cut short at the end of the file
     "load_patterns, a cut sequence after a BOM": (

@@ -288,6 +288,20 @@ def test_exponent_notation_sets_the_expectation_and_default_bounds(mini_store, b
     assert result.function.bounds == (0.0, 2000.0)
 
 
+@pytest.mark.parametrize("numeral", [".5", ".5s", "(.5)"])
+def test_leading_dot_decimal_sets_the_expectation_and_default_bounds(
+    numeral, mini_store, bundled_kb
+):
+    result = quantify(
+        QuantificationRequest(text=f"The system shall respond within {numeral} seconds"),
+        bundled_kb,
+        mini_store,
+    )
+    assert [v_beta for _, _, v_beta, _ in result.parts] == [0.5]
+    assert result.function.bounds == (0.0, 1.0)
+    assert not result.warnings
+
+
 @pytest.mark.parametrize("number", ["1e308", "1e400"])
 def test_expectation_too_large_for_default_bounds_raises(number, mini_store, bundled_kb):
     with pytest.raises(ExpectationOutOfBounds):

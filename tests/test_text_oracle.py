@@ -15,8 +15,8 @@ from perfquant.errors import EmptyInput
 from perfquant.evaluation import load_dataset
 
 # --- the former tokenizer and split, verbatim but for the split's
-# --- doubled-word rule: a frozen-dataclass Token, list views, and every
-# --- chunk through the number regex
+# --- doubled-word rule and the leading-dot decimal: a frozen-dataclass
+# --- Token, list views, and every chunk through the number regex
 
 NUMBER_RE = re.compile(r"^(?:\d{1,3}(?:,\d{3})+|\d+)(?:\.\d+)?(?:[eE][+-]?\d+)?$")
 
@@ -52,16 +52,30 @@ class TokenizedRequirement:
         return [i for i, t in enumerate(self.tokens) if t.is_number]
 
 
+# a lead ending in one '.', not two, puts a decimal point before the digits
+_DOT_LEAD_RE = re.compile(r"(?:^|[^.])\.$")
+
+
+def _numeral(chunk: str, stripped: str) -> tuple[str, str]:
+    """The numeral `stripped` reads as in `chunk`, and the lead before it."""
+    lead = chunk[: len(chunk) - len(chunk.lstrip(string.punctuation))]
+    if _DOT_LEAD_RE.search(lead) and NUMBER_RE.match("0." + stripped):
+        return "0." + stripped, lead[:-1]
+    return stripped, lead
+
+
 def _parse_number(chunk: str, stripped: str) -> float | None:
     if not NUMBER_RE.match(stripped):
         return None
-    value = float(stripped.replace(",", ""))
-    lead = chunk[: len(chunk) - len(chunk.lstrip(string.punctuation))]
+    numeral, lead = _numeral(chunk, stripped)
+    value = float(numeral.replace(",", ""))
     return -value if lead.endswith("-") else value
 
 
 def _token(surface: str, word: str) -> Token:
     value = _parse_number(surface, word) if word else None
+    if value is not None:
+        word = _numeral(surface, word)[0]
     return Token(
         surface=surface,
         normalized=word.lower() if word else surface.lower(),
@@ -200,6 +214,40 @@ def test_edge_texts_equal_the_former_tokenizer(raw):
 def test_bundled_corpora_equal_the_former_tokenizer(name):
     for row in load_dataset(data_path(name)):
         _assert_matches_oracle(row.text)
+
+
+@pytest.mark.parametrize(
+    "chunk, tokens",
+    [
+        (".5", [(".5", "0.5", 0.5)]),
+        ("-.5", [("-.5", "0.5", -0.5)]),
+        ("(.25)", [("(.25)", "0.25", 0.25)]),
+        (".5s", [(".5", "0.5", 0.5), ("s", "s", None)]),
+        (".5e3", [(".5e3", "0.5e3", 500.0)]),
+        # two dots, or a point among the digits: the lead is no decimal point
+        ("..5", [("..5", "5", 5.0)]),
+        (".5.3", [(".5.3", "5.3", 5.3)]),
+        (".1,000", [(".1,000", "1,000", 1000.0)]),
+    ],
+)
+def test_a_single_leading_dot_is_a_decimal_point(chunk, tokens):
+    assert text.tokenize(f"within {chunk}").tokens[1:] == tuple(tokens)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lead=st.text(string.punctuation.replace(".", "").replace("-", ""), max_size=3),
+    sign=st.sampled_from(["", "-", "+"]),
+    fraction=st.text(string.digits, min_size=1, max_size=6),
+    exponent=st.sampled_from(["", "e3", "E-2", "e+10", "e400"]),
+    tail=st.sampled_from(["", ".", ")", ",", ";", "s", "ms."]),
+)
+def test_a_leading_dot_numeral_reads_as_float_does(lead, sign, fraction, exponent, tail):
+    numeral = f".{fraction}{exponent}"
+    token = text.tokenize(f"within {lead}{sign}{numeral}{tail} always").tokens[1]
+    value = float(numeral)
+    assert repr(token.numeric_value) == repr(-value if sign == "-" else value)
+    assert token.normalized == f"0{numeral}".lower()
 
 
 def test_token_is_a_three_field_tuple_repr_and_hash():
